@@ -466,6 +466,11 @@ main()
     double rate4 = 0.0;
     for (unsigned threads : {1u, 2u, 4u}) {
         scal.threads = threads;
+        // Every row replays the same seed on the same engine: start
+        // each from an empty process-global memo, or the later rows
+        // would read the syndromes the earlier ones cached and
+        // parallel-efficiency@4 would measure cache warmth.
+        decoder::GlobalDecodeMemo::instance().clear();
         auto t0 = std::chrono::steady_clock::now();
         auto res = engine.run(scal);
         double rate = static_cast<double>(res.shots) /

@@ -1,8 +1,10 @@
 #include "src/decoder/mwpm.hh"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <limits>
-#include <queue>
+#include <string>
 
 #include "src/common/assert.hh"
 
@@ -19,25 +21,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kReachCacheMaxNodes = 16384;
 constexpr std::size_t kReachCacheMaxSlots = 4096;
 
-/** Context-aware edge weight: override wins, clamped to >= 0 so a
- *  posterior-boosted (near-certain) edge cannot go negative.  The
- *  tie-break epsilon makes the optimal matching generically unique
- *  (see tieBreakEpsilon), which the predecode identity relies on. */
-inline double
-ctxWeight(const GraphEdge &e, std::uint32_t ei,
-          const DecodeContext &ctx)
-{
-    const double w =
-        ctx.weights.empty() ? e.weight : ctx.weights[ei];
-    return (w < 0.0 ? 0.0 : w) + tieBreakEpsilon(ei);
-}
-
-/** True if the context hides this edge (beyond the round horizon). */
-inline bool
-ctxHides(const GraphEdge &e, const DecodeContext &ctx)
-{
-    return ctx.maxRound >= 0 && e.round > ctx.maxRound;
-}
+/** Heap order of the search: a min-heap on (distance, node), the
+ *  same comparator std::priority_queue<..., std::greater<>> uses. */
+constexpr std::greater<> kHeapOrder{};
 
 } // namespace
 
@@ -50,12 +36,35 @@ MwpmDecoder::MwpmDecoder(const DecodeGraph &graph,
                  "bitmask matching is limited to 22 defects");
     if (predecode)
         pre_ = std::make_unique<Predecoder>(graph_, predecodeRadius);
-    distStamp_.assign(graph_.numNodes(), 0);
-    dist_.assign(graph_.numNodes(), kInf);
-    fromEdge_.assign(graph_.numNodes(), -1);
+    const std::size_t n = graph_.numNodes();
+    distStamp_.assign(n, 0);
+    targetStamp_.assign(n, 0);
+    dist_.assign(n, kInf);
+    fromEdge_.assign(n, -1);
     if (reachCache_) {
-        cacheStampOf_.assign(graph_.numNodes(), 0);
-        cacheSlotOf_.assign(graph_.numNodes(), 0);
+        cacheStampOf_.assign(n, 0);
+        cacheSlotOf_.assign(n, 0);
+    }
+
+    // Flat arcs in incident() order, weights pre-clamped to >= 0 so a
+    // posterior-boosted (near-certain) edge cannot go negative, plus
+    // the tie-break epsilon that makes the optimal matching
+    // generically unique (see tieBreakEpsilon) — the predecode
+    // identity relies on it.  Context overrides recombine the clamp
+    // with the stored epsilon, giving the same doubles.
+    arcStart_.reserve(n + 1);
+    arcStart_.push_back(0);
+    for (std::size_t u = 0; u < n; ++u) {
+        for (std::uint32_t ei : graph_.incident(u)) {
+            const GraphEdge &e = graph_.edges()[ei];
+            std::int32_t to = kBoundary;
+            if (e.u != kBoundary)
+                to = static_cast<std::size_t>(e.u) == u ? e.v : e.u;
+            const double eps = tieBreakEpsilon(ei);
+            arcs_.push_back(
+                {to, ei, (e.weight < 0.0 ? 0.0 : e.weight) + eps, eps});
+        }
+        arcStart_.push_back(static_cast<std::uint32_t>(arcs_.size()));
     }
 }
 
@@ -72,56 +81,84 @@ MwpmDecoder::invalidateReachCache()
 }
 
 void
-MwpmDecoder::searchFrom(std::uint32_t source, const DecodeContext &ctx)
+MwpmDecoder::searchFrom(std::uint32_t source, const DecodeContext &ctx,
+                        bool bounded,
+                        std::span<const std::uint32_t> targets)
 {
     // One stamp epoch per search: dist_/fromEdge_ are valid only for
     // nodes the search actually reached, so the reset is O(1), not
     // O(nodes).
     if (++epoch_ == 0) {
         std::fill(distStamp_.begin(), distStamp_.end(), 0);
+        std::fill(targetStamp_.begin(), targetStamp_.end(), 0);
         epoch_ = 1;
     }
-    auto distOf = [&](std::uint32_t node) {
-        return distStamp_[node] == epoch_ ? dist_[node] : kInf;
-    };
+    std::size_t pending = 0;
+    if (bounded) {
+        for (std::uint32_t t : targets) {
+            if (targetStamp_[t] != epoch_) {
+                targetStamp_[t] = epoch_;
+                ++pending;
+            }
+        }
+    }
+    const std::span<const double> weights = ctx.weights;
+    const bool horizon = ctx.maxRound >= 0;
+    const auto &edges = graph_.edges();
     double bestBoundary = kInf;
     std::int32_t boundaryEdgeNode = -1;  // node from which we exit
     std::int32_t boundaryEdge = -1;
 
-    using Item = std::pair<double, std::uint32_t>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+    heap_.clear();
     distStamp_[source] = epoch_;
     dist_[source] = 0.0;
     fromEdge_[source] = -1;
-    pq.emplace(0.0, source);
+    heap_.emplace_back(0.0, source);
 
-    while (!pq.empty()) {
-        auto [d, u] = pq.top();
-        pq.pop();
+    while (!heap_.empty()) {
+        // Every later pop is at least the heap top, and weights are
+        // >= 0: once the targets are settled and the top cannot beat
+        // the boundary exit (strict <), nothing a later pop does can
+        // change a value the caller reads.
+        if (bounded && pending == 0 &&
+            heap_.front().first >= bestBoundary)
+            break;
+        std::pop_heap(heap_.begin(), heap_.end(), kHeapOrder);
+        const auto [d, u] = heap_.back();
+        heap_.pop_back();
         if (d > dist_[u])
             continue;
-        for (std::uint32_t ei : graph_.incident(u)) {
-            const GraphEdge &e = graph_.edges()[ei];
-            if (ctxHides(e, ctx))
+        const Arc *a = arcs_.data() + arcStart_[u];
+        const Arc *const end = arcs_.data() + arcStart_[u + 1];
+        for (; a != end; ++a) {
+            if (horizon && edges[a->edge].round > ctx.maxRound)
                 continue;
-            const double w = ctxWeight(e, ei, ctx);
-            if (e.u == kBoundary) {
-                if (d + w < bestBoundary) {
-                    bestBoundary = d + w;
+            double w = a->weight;
+            if (!weights.empty()) {
+                const double o = weights[a->edge];
+                w = (o < 0.0 ? 0.0 : o) + a->eps;
+            }
+            const double nd = d + w;
+            if (a->to == kBoundary) {
+                if (nd < bestBoundary) {
+                    bestBoundary = nd;
                     boundaryEdgeNode = static_cast<std::int32_t>(u);
-                    boundaryEdge = static_cast<std::int32_t>(ei);
+                    boundaryEdge = static_cast<std::int32_t>(a->edge);
                 }
                 continue;
             }
-            std::uint32_t v = (static_cast<std::uint32_t>(e.u) == u)
-                                  ? static_cast<std::uint32_t>(e.v)
-                                  : static_cast<std::uint32_t>(e.u);
-            if (d + w < distOf(v)) {
+            const auto v = static_cast<std::uint32_t>(a->to);
+            if (nd < (distStamp_[v] == epoch_ ? dist_[v] : kInf)) {
                 distStamp_[v] = epoch_;
-                dist_[v] = d + w;
-                fromEdge_[v] = static_cast<std::int32_t>(ei);
-                pq.emplace(dist_[v], v);
+                dist_[v] = nd;
+                fromEdge_[v] = static_cast<std::int32_t>(a->edge);
+                heap_.emplace_back(nd, v);
+                std::push_heap(heap_.begin(), heap_.end(), kHeapOrder);
             }
+        }
+        if (bounded && targetStamp_[u] == epoch_) {
+            targetStamp_[u] = 0;
+            --pending;
         }
     }
     searchBoundaryDist_ = bestBoundary;
@@ -133,9 +170,9 @@ template <class DistFn, class EdgeFn>
 void
 MwpmDecoder::fillReaches(std::uint32_t source,
                          std::span<const std::uint32_t> targets,
-                         bool wantEdges, DistFn distOf,
-                         EdgeFn fromEdgeOf, double boundaryDist,
-                         std::int32_t boundaryNode,
+                         std::size_t first, bool wantEdges,
+                         DistFn distOf, EdgeFn fromEdgeOf,
+                         double boundaryDist, std::int32_t boundaryNode,
                          std::int32_t boundaryEdge,
                          std::vector<Reach> *out, Reach *boundary)
 {
@@ -156,14 +193,15 @@ MwpmDecoder::fillReaches(std::uint32_t source,
         }
     };
 
-    out->resize(targets.size());
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-        Reach &r = (*out)[i];
-        r.dist = distOf(targets[i]);
+    if (out->size() < targets.size())
+        out->resize(targets.size());
+    for (std::size_t j = first; j < targets.size(); ++j) {
+        Reach &r = (*out)[j];
+        r.dist = distOf(targets[j]);
         r.obs = 0;
         r.edges.clear();
         if (r.dist < kInf)
-            fillPath(targets[i], &r);
+            fillPath(targets[j], &r);
     }
     boundary->dist = boundaryDist;
     boundary->obs = 0;
@@ -176,23 +214,6 @@ MwpmDecoder::fillReaches(std::uint32_t source,
     }
 }
 
-void
-MwpmDecoder::dijkstra(std::uint32_t source,
-                      std::span<const std::uint32_t> targets,
-                      const DecodeContext &ctx, bool wantEdges,
-                      std::vector<Reach> *out, Reach *boundary)
-{
-    searchFrom(source, ctx);
-    fillReaches(
-        source, targets, wantEdges,
-        [&](std::uint32_t node) {
-            return distStamp_[node] == epoch_ ? dist_[node] : kInf;
-        },
-        [&](std::uint32_t node) { return fromEdge_[node]; },
-        searchBoundaryDist_, searchBoundaryNode_, searchBoundaryEdge_,
-        out, boundary);
-}
-
 const MwpmDecoder::SsspSlot &
 MwpmDecoder::ensureSlot(std::uint32_t source, const DecodeContext &ctx)
 {
@@ -201,10 +222,10 @@ MwpmDecoder::ensureSlot(std::uint32_t source, const DecodeContext &ctx)
         return slots_[cacheSlotOf_[source]];
     }
     // First occurrence of this source in the current epoch: run the
-    // real search into the epoch-stamped scratch, then snapshot it.
+    // full search into the epoch-stamped scratch, then snapshot it.
     // The snapshot IS the scratch state, so the cached and uncached
     // paths read identical distances and predecessor edges.
-    searchFrom(source, ctx);
+    searchFrom(source, ctx, /*bounded=*/false, {});
     cacheStampOf_[source] = cacheEpoch_;
     cacheSlotOf_[source] = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
@@ -222,6 +243,116 @@ MwpmDecoder::ensureSlot(std::uint32_t source, const DecodeContext &ctx)
     slot.boundaryNode = searchBoundaryNode_;
     slot.boundaryEdge = searchBoundaryEdge_;
     return slot;
+}
+
+void
+MwpmDecoder::resetMemo(std::size_t m)
+{
+    // At most Fib(m+2) subsets are reachable from the full set by
+    // "pair the lowest defect" steps (the empty set included); twice
+    // that, rounded up to a power of two, keeps the load <= 1/2.
+    std::size_t fibPrev = 1, fib = 1;  // Fib(1), Fib(2)
+    for (std::size_t k = 2; k < m + 2; ++k) {
+        const std::size_t next = fibPrev + fib;
+        fibPrev = fib;
+        fib = next;
+    }
+    const std::size_t cap = std::bit_ceil(2 * fib);
+    if (memo_.size() < cap) {
+        memo_.assign(cap, MemoEntry{});
+        memoShift_ = 32 - std::countr_zero(cap);
+    }
+    if (++memoEpoch_ == 0) {
+        for (MemoEntry &e : memo_)
+            e.stamp = 0;
+        memoEpoch_ = 1;
+    }
+}
+
+MwpmDecoder::MemoEntry &
+MwpmDecoder::memoSlot(std::uint32_t mask)
+{
+    const std::size_t wrap = memo_.size() - 1;
+    std::size_t at = (mask * 0x9e3779b1u) >> memoShift_;
+    while (memo_[at].stamp == memoEpoch_ && memo_[at].mask != mask)
+        at = (at + 1) & wrap;
+    return memo_[at];
+}
+
+double
+MwpmDecoder::solve(std::uint32_t mask)
+{
+    if (mask == 0)
+        return 0.0;
+    MemoEntry &slot = memoSlot(mask);
+    if (slot.stamp == memoEpoch_)
+        return slot.cost;
+    // Claim the slot before recursing: sub-masks never revisit this
+    // mask, and the table is not resized mid-decode, so the reference
+    // stays valid.
+    slot.stamp = memoEpoch_;
+    slot.mask = mask;
+
+    // The lowest defect i either exits via the boundary or pairs
+    // with a later defect j — boundary first, then partners
+    // ascending, strict <, so ties resolve as in a bottom-up sweep.
+    const int i = std::countr_zero(mask);
+    const std::uint32_t rest = mask & (mask - 1);
+    double best = solve(rest) + toBoundary_[i].dist;
+    std::int32_t choice = best < kInf ? -2 : -1;
+    const std::vector<Reach> &row = pair_[i];
+    for (std::uint32_t sub = rest; sub; sub &= sub - 1) {
+        const int j = std::countr_zero(sub);
+        const double c = solve(rest ^ (1u << j)) + row[j].dist;
+        if (c < best) {
+            best = c;
+            choice = j;
+        }
+    }
+    slot.cost = best;
+    slot.choice = choice;
+    return best;
+}
+
+void
+MwpmDecoder::throwUnmatchable(std::span<const std::uint32_t> syn) const
+{
+    // A matching fails only when some group of mutually reachable
+    // defects has odd size and no boundary exit.  Group the defects
+    // by finite pair distance and name the lowest member of the
+    // first such group.
+    const std::size_t m = syn.size();
+    std::vector<std::size_t> group(m);
+    for (std::size_t i = 0; i < m; ++i) {
+        group[i] = i;
+        for (std::size_t k = 0; k < i; ++k)
+            if (pair_[k][i].dist < kInf)
+                group[i] = std::min(group[i], group[k]);
+    }
+    for (std::size_t g = 0; g < m; ++g) {
+        std::size_t size = 0;
+        bool exits = false;
+        for (std::size_t i = 0; i < m; ++i) {
+            if (group[i] == g) {
+                ++size;
+                exits = exits || toBoundary_[i].dist < kInf;
+            }
+        }
+        if (size % 2 == 1 && !exits) {
+            const std::string who =
+                "defect " + std::to_string(syn[g]);
+            if (size == 1)
+                TRAQ_FATAL("MWPM: " + who +
+                           " reaches neither the boundary nor another "
+                           "defect");
+            TRAQ_FATAL("MWPM: " + who + " is one of " +
+                       std::to_string(size) +
+                       " mutually reachable defects (an odd number) "
+                       "with no path to the boundary");
+        }
+    }
+    TRAQ_FATAL("MWPM: no finite-weight matching for defect " +
+               std::to_string(syn[0]));
 }
 
 std::uint32_t
@@ -263,10 +394,11 @@ MwpmDecoder::decodeEx(std::span<const std::uint32_t> syndrome,
     if (m == 0)
         return preCorrection;
 
-    // Pairwise distances and boundary exits.  The reach cache only
-    // answers default-context searches: weight overrides (correlated
-    // second pass) and round horizons (windowed) change the metric,
-    // so those decodes always run the uncached search.
+    // Distances from each defect to the later ones and to the
+    // boundary.  The reach cache only answers default-context
+    // searches: weight overrides (correlated second pass, heralded
+    // shots) and round horizons (windowed) change the metric, so
+    // those decodes always run the bounded uncached search.
     const bool cacheable = reachCache_ && ctx.weights.empty() &&
                            ctx.maxRound < 0 &&
                            graph_.numNodes() <= kReachCacheMaxNodes;
@@ -278,7 +410,7 @@ MwpmDecoder::decodeEx(std::span<const std::uint32_t> syndrome,
                           slots_.size() < kReachCacheMaxSlots)) {
             const SsspSlot &slot = ensureSlot(syn[i], ctx);
             fillReaches(
-                syn[i], syn, wantEdges,
+                syn[i], syn, i + 1, wantEdges,
                 [&](std::uint32_t node) { return slot.dist[node]; },
                 [&](std::uint32_t node) {
                     return slot.fromEdge[node];
@@ -286,54 +418,41 @@ MwpmDecoder::decodeEx(std::span<const std::uint32_t> syndrome,
                 slot.boundaryDist, slot.boundaryNode,
                 slot.boundaryEdge, &pair_[i], &toBoundary_[i]);
         } else {
-            dijkstra(syn[i], syn, ctx, wantEdges, &pair_[i],
-                     &toBoundary_[i]);
+            searchFrom(syn[i], ctx, /*bounded=*/true,
+                       syn.subspan(i + 1));
+            fillReaches(
+                syn[i], syn, i + 1, wantEdges,
+                [&](std::uint32_t node) {
+                    return distStamp_[node] == epoch_ ? dist_[node]
+                                                      : kInf;
+                },
+                [&](std::uint32_t node) { return fromEdge_[node]; },
+                searchBoundaryDist_, searchBoundaryNode_,
+                searchBoundaryEdge_, &pair_[i], &toBoundary_[i]);
         }
     }
 
-    // DP over subsets: best[mask] = min cost to pair up defects in
-    // mask (each either with another defect or with the boundary).
-    const std::size_t full = (std::size_t{1} << m) - 1;
-    best_.assign(full + 1, kInf);
-    choice_.assign(full + 1, -1);
-    best_[0] = 0.0;
-    for (std::size_t mask = 1; mask <= full; ++mask) {
-        int i = __builtin_ctzll(mask);
-        std::size_t rest = mask ^ (std::size_t{1} << i);
-        // Option 1: defect i exits via the boundary.
-        if (best_[rest] + toBoundary_[i].dist < best_[mask]) {
-            best_[mask] = best_[rest] + toBoundary_[i].dist;
-            choice_[mask] = -2;  // boundary marker
-        }
-        // Option 2: pair with defect j.
-        std::size_t sub = rest;
-        while (sub) {
-            int j = __builtin_ctzll(sub);
-            sub &= sub - 1;
-            double c = best_[rest ^ (std::size_t{1} << j)] +
-                       pair_[i][j].dist;
-            if (c < best_[mask]) {
-                best_[mask] = c;
-                choice_[mask] = j;
-            }
-        }
-    }
+    // Min-cost pairing of all defects (each with another defect or
+    // with the boundary), memoised over the reachable subsets.
+    resetMemo(m);
+    const std::uint32_t full =
+        static_cast<std::uint32_t>((std::uint64_t{1} << m) - 1);
+    if (!(solve(full) < kInf))
+        throwUnmatchable(syn);
 
     // Reconstruct and accumulate observable masks / used edges.
     std::uint32_t correction = preCorrection;
-    std::size_t mask = full;
+    std::uint32_t mask = full;
     while (mask) {
-        int i = __builtin_ctzll(mask);
-        const Reach *r;
-        if (choice_[mask] == -2) {
-            r = &toBoundary_[i];
-            mask ^= (std::size_t{1} << i);
-        } else {
-            int j = choice_[mask];
-            TRAQ_ASSERT(j >= 0, "matching reconstruction failed");
-            r = &pair_[i][j];
-            mask ^= (std::size_t{1} << i);
-            mask ^= (std::size_t{1} << j);
+        const int i = std::countr_zero(mask);
+        const MemoEntry &e = memoSlot(mask);
+        TRAQ_ASSERT(e.stamp == memoEpoch_ && e.choice != -1,
+                    "matching reconstruction failed");
+        mask &= mask - 1;
+        const Reach *r = &toBoundary_[i];
+        if (e.choice >= 0) {
+            r = &pair_[i][e.choice];
+            mask ^= 1u << e.choice;
         }
         correction ^= r->obs;
         if (usedEdges)

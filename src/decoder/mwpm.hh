@@ -4,23 +4,34 @@
  *
  * Pairwise defect distances are computed with Dijkstra over the
  * shared DecodeGraph (the virtual boundary acts as an always-available
- * partner), and the optimal pairing is found by bitmask dynamic
- * programming — exact for up to ~20 defects, which covers the
- * below-threshold sampling regime used to extract the paper's
- * decoding factor alpha.  Fallback above the cap is FallbackDecoder's
- * job (it routes oversized syndromes to union-find).
+ * partner), and the optimal pairing is found by a memoised dynamic
+ * program over defect subsets.  The DP only ever pairs the lowest
+ * remaining defect, so from the full set it reaches Fib(m+2) subsets
+ * (2,584 at m = 16) rather than all 2^m; it walks them top-down and
+ * keeps each subset's cost and choice in a small epoch-stamped
+ * open-addressing table.  Exact up to the constructor's cap (at most
+ * 22 defects), which covers the below-threshold sampling regime used
+ * to extract the paper's decoding factor alpha.  Fallback above the
+ * cap is FallbackDecoder's job (it routes oversized syndromes to
+ * union-find).
  *
  * The extended entry point decodeEx() is what the composite decoders
  * build on: a DecodeContext can reweight edges (correlated two-pass
- * decoding) or hide future rounds (windowed streaming decoding), and
- * the matched correction can be reported as the list of graph edges
- * it traverses — the edge posteriors the correlated decoder feeds
- * back across partner hyperedges.
+ * decoding, herald-zeroed erasure decoding) or hide future rounds
+ * (windowed streaming decoding), and the matched correction can be
+ * reported as the list of graph edges it traverses — the edge
+ * posteriors the correlated decoder feeds back across partner
+ * hyperedges.
  *
- * Dijkstra's distance/predecessor arrays are epoch-stamped and the
- * DP tables are reused members, so a decode allocates nothing warm
- * and clears only what it reaches — the per-worker arena scratch the
- * batch decode path leans on.
+ * Searches run over a flat per-node arc array built once from the
+ * graph, with a reused binary heap.  A search the reach cache does
+ * not snapshot stops as soon as every later defect is settled and no
+ * unsettled node can still improve the boundary exit: the DP and the
+ * reconstruction only read pair rows j > i, and nothing past that
+ * point can change them.  Dijkstra's distance/predecessor arrays are
+ * epoch-stamped and every table is a reused member, so a decode
+ * allocates nothing warm and clears only what it reaches — the
+ * per-worker arena scratch the batch decode path leans on.
  */
 
 #ifndef TRAQ_DECODER_MWPM_HH
@@ -29,6 +40,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/decoder/decode_graph.hh"
@@ -43,10 +55,10 @@ class MwpmDecoder final : public Decoder
   public:
     /**
      * @param graph decode graph.
-     * @param maxDefects largest syndrome size decoded exactly.  The
-     *        cap applies to the syndrome as handed in — predecode
-     *        peeling never widens what this decoder accepts, so
-     *        predecode on/off route identically.
+     * @param maxDefects largest syndrome size decoded exactly (at
+     *        most 22).  The cap applies to the syndrome as handed
+     *        in — predecode peeling never widens what this decoder
+     *        accepts, so predecode on/off route identically.
      * @param predecode peel isolated adjacent pairs first (see
      *        Predecoder); off by default.
      * @param predecodeRadius isolation radius for the peeler.
@@ -69,8 +81,10 @@ class MwpmDecoder final : public Decoder
     }
 
     /**
-     * Decode one syndrome.  Throws FatalError above the cap; use
-     * FallbackDecoder when syndromes may exceed it.
+     * Decode one syndrome.  Throws FatalError above the cap, and when
+     * no matching exists (a defect, or an odd group of defects, with
+     * no path to the boundary); use FallbackDecoder when syndromes
+     * may exceed the cap.
      * @return predicted logical-observable flip mask.
      */
     std::uint32_t
@@ -121,12 +135,30 @@ class MwpmDecoder final : public Decoder
     std::unique_ptr<Predecoder> pre_;
     std::vector<std::uint32_t> residue_;  //!< post-peel syndrome
 
+    /** One traversal of a graph edge out of a node. */
+    struct Arc
+    {
+        std::int32_t to;      //!< neighbour node, or kBoundary
+        std::uint32_t edge;   //!< graph edge index
+        double weight;        //!< clamped graph weight + epsilon
+        double eps;           //!< tieBreakEpsilon(edge)
+    };
+    /** Node n's arcs are arcs_[arcStart_[n] .. arcStart_[n+1]), in
+     *  graph.incident(n) order. */
+    std::vector<std::uint32_t> arcStart_;
+    std::vector<Arc> arcs_;
+
     // Epoch-stamped Dijkstra scratch: dist_/fromEdge_ entries are
-    // valid only when distStamp_ matches the current search's epoch.
+    // valid only when distStamp_ matches the current search's epoch;
+    // targetStamp_ marks the nodes a bounded search must settle.
     std::uint32_t epoch_ = 0;
     std::vector<std::uint32_t> distStamp_;
+    std::vector<std::uint32_t> targetStamp_;
     std::vector<double> dist_;
     std::vector<std::int32_t> fromEdge_;
+    /** Min-heap of (distance, node), driven by std::push_heap /
+     *  std::pop_heap exactly as std::priority_queue would. */
+    std::vector<std::pair<double, std::uint32_t>> heap_;
 
     struct Reach
     {
@@ -137,10 +169,25 @@ class MwpmDecoder final : public Decoder
     };
 
     // Reused per-decode tables (rows keep their capacity warm).
+    // pair_[i][j] is filled for j > i only: the DP always pairs the
+    // lowest defect of a subset, so no other entry is ever read.
     std::vector<std::vector<Reach>> pair_;
     std::vector<Reach> toBoundary_;
-    std::vector<double> best_;
-    std::vector<std::int32_t> choice_;
+
+    /** One memoised DP subset: its min cost and what its lowest
+     *  defect does (-2 boundary, j >= 0 pair with defect j). */
+    struct MemoEntry
+    {
+        std::uint32_t stamp = 0;
+        std::uint32_t mask = 0;
+        double cost = 0.0;
+        std::int32_t choice = -1;
+    };
+    /** Open-addressing table (power-of-two size, linear probing)
+     *  whose entries are live when stamp == memoEpoch_. */
+    std::vector<MemoEntry> memo_;
+    std::uint32_t memoEpoch_ = 0;
+    int memoShift_ = 32;
 
     /**
      * Reach cache: a snapshot of one full single-source Dijkstra
@@ -176,33 +223,44 @@ class MwpmDecoder final : public Decoder
     std::int32_t searchBoundaryEdge_ = -1;
 
     /**
-     * Single-source shortest paths from a defect; returns distance,
-     * path-observable mask, and path edges to every target plus the
-     * boundary, honoring the context's weights and round horizon.
+     * Dijkstra from a defect into the epoch-stamped scratch and the
+     * searchBoundary*_ members, honoring the context's weights and
+     * round horizon.  With bounded set, the search stops once every
+     * node of targets is settled and the heap top cannot improve the
+     * boundary exit; every value it reports is then already final.
      */
-    void dijkstra(std::uint32_t source,
-                  std::span<const std::uint32_t> targets,
-                  const DecodeContext &ctx, bool wantEdges,
-                  std::vector<Reach> *out, Reach *boundary);
+    void searchFrom(std::uint32_t source, const DecodeContext &ctx,
+                    bool bounded,
+                    std::span<const std::uint32_t> targets);
 
-    /** The priority-queue loop of dijkstra(); fills the epoch-stamped
-     *  scratch and the searchBoundary*_ members. */
-    void searchFrom(std::uint32_t source, const DecodeContext &ctx);
-
-    /** Cached-path equivalent of dijkstra(): snapshot the search on
-     *  first use of a source, then answer from the slot. */
+    /** Cached-path search: snapshot a full search on first use of a
+     *  source, then answer from the slot. */
     const SsspSlot &ensureSlot(std::uint32_t source,
                                const DecodeContext &ctx);
 
     /** Turn a distance/predecessor store (scratch or slot) into the
-     *  per-target Reach rows dijkstra() reports. */
+     *  Reach rows of targets[first..] and the boundary exit. */
     template <class DistFn, class EdgeFn>
     void fillReaches(std::uint32_t source,
                      std::span<const std::uint32_t> targets,
-                     bool wantEdges, DistFn distOf, EdgeFn fromEdgeOf,
-                     double boundaryDist, std::int32_t boundaryNode,
+                     std::size_t first, bool wantEdges, DistFn distOf,
+                     EdgeFn fromEdgeOf, double boundaryDist,
+                     std::int32_t boundaryNode,
                      std::int32_t boundaryEdge, std::vector<Reach> *out,
                      Reach *boundary);
+
+    /** Size the memo for m defects and start a fresh epoch. */
+    void resetMemo(std::size_t m);
+
+    /** The memo slot holding mask, or the empty slot it belongs in. */
+    MemoEntry &memoSlot(std::uint32_t mask);
+
+    /** Min matching cost of the defects in mask (memoised). */
+    double solve(std::uint32_t mask);
+
+    /** Throw the FatalError for an unmatchable syndrome. */
+    [[noreturn]] void
+    throwUnmatchable(std::span<const std::uint32_t> syn) const;
 };
 
 } // namespace traq::decoder

@@ -246,7 +246,8 @@ UnionFindDecoder::decodeEx(std::span<const std::uint32_t> syndrome,
             // An odd cluster with an empty frontier can never grow
             // again (every incident edge is beyond the context's
             // round horizon); drop it rather than spin — the
-            // defect stays unmatched, like MWPM's quiet behavior.
+            // defect stays unmatched.  (MWPM instead throws a
+            // FatalError naming such a defect.)
             if (parity_[m] && !touchesBoundary_[m] && !dst.empty())
                 nextActive.push_back(m);
         }

@@ -1,19 +1,33 @@
 /**
  * @file
  * Tests for decoding-graph construction, the union-find decoder, and
- * the exact MWPM decoder on hand-built graphs and small experiments.
+ * the exact MWPM decoder on hand-built graphs and small experiments:
+ * optimality against a brute-force oracle on real d=3 graphs, and a
+ * digest that pins the corrections of the lossy transversal-CNOT
+ * workload bit for bit.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <queue>
+#include <string>
 
 #include "src/codes/experiments.hh"
 #include "src/common/assert.hh"
+#include "src/common/rng.hh"
+#include "src/decoder/compile_cache.hh"
+#include "src/decoder/correlated.hh"
 #include "src/decoder/decode_graph.hh"
+#include "src/decoder/fallback.hh"
 #include "src/decoder/mwpm.hh"
 #include "src/decoder/union_find.hh"
+#include "src/decoder/windowed.hh"
+#include "src/noise/noise.hh"
 #include "src/sim/dem.hh"
+#include "src/sim/frame.hh"
 
 namespace traq::decoder {
 namespace {
@@ -57,6 +71,225 @@ chainMeta(int n)
     meta.observableIsX.assign(1, 0);
     return meta;
 }
+
+/** d=3 Z-memory graph at p = 1e-3. */
+DecodeGraph
+memoryGraph()
+{
+    codes::SurfaceCode sc(3);
+    return DecodeGraph::build(codes::buildMemory(
+        sc, 'Z', 3, codes::NoiseParams::uniform(1e-3)));
+}
+
+/** The lossy transversal-CNOT circuit family of the Monte-Carlo
+ *  benchmark: 8 CX layers, 2 per SE block, p = 1e-3, atom loss. */
+std::shared_ptr<const CompiledDecodeSetup>
+cnotLossSetup(int d)
+{
+    codes::TransversalCnotSpec spec;
+    spec.distance = d;
+    spec.cnotLayers = 8;
+    spec.cnotsPerBatch = 2;
+    spec.noise = codes::NoiseParams::uniform(1e-3);
+    noise::NoiseSpec ns;
+    ns.setFlat("noise.atom-loss.p", 0.002);
+    return compileDecodeSetup(codes::buildTransversalCnot(spec), ns,
+                              /*useCache=*/false);
+}
+
+/** The matcher's metric: weight (context override wins) clamped to
+ *  >= 0, plus the per-edge tie-break epsilon. */
+double
+matchMetric(const DecodeGraph &g, std::uint32_t ei,
+            const DecodeContext &ctx)
+{
+    const double w =
+        ctx.weights.empty() ? g.edges()[ei].weight : ctx.weights[ei];
+    return (w < 0.0 ? 0.0 : w) + tieBreakEpsilon(ei);
+}
+
+/** Minimum-weight pairing found by the brute-force oracle. */
+struct OracleMatch
+{
+    bool feasible = false;
+    double cost = 0.0;
+    std::uint32_t obs = 0;
+};
+
+/**
+ * Reference matcher sharing nothing with MwpmDecoder but the metric:
+ * a textbook Dijkstra from every defect (all pairs plus the boundary
+ * exit, round horizon honored), then exhaustive enumeration of every
+ * pairing of the defects with each other and the boundary.
+ */
+OracleMatch
+bruteForceMatching(const DecodeGraph &g,
+                   const std::vector<std::uint32_t> &syn,
+                   const DecodeContext &ctx)
+{
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    struct Path
+    {
+        double dist = inf;
+        std::uint32_t obs = 0;
+    };
+    const std::size_t m = syn.size();
+    std::vector<std::vector<Path>> pair(m, std::vector<Path>(m));
+    std::vector<Path> exit(m);
+    for (std::size_t i = 0; i < m; ++i) {
+        std::vector<double> dist(g.numNodes(), inf);
+        std::vector<std::uint32_t> obs(g.numNodes(), 0);
+        using Item = std::pair<double, std::uint32_t>;
+        std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+        dist[syn[i]] = 0.0;
+        pq.emplace(0.0, syn[i]);
+        while (!pq.empty()) {
+            const auto [d, u] = pq.top();
+            pq.pop();
+            if (d > dist[u])
+                continue;
+            for (std::uint32_t ei : g.incident(u)) {
+                const GraphEdge &e = g.edges()[ei];
+                if (ctx.maxRound >= 0 && e.round > ctx.maxRound)
+                    continue;
+                const double nd = d + matchMetric(g, ei, ctx);
+                if (e.u == kBoundary) {
+                    if (nd < exit[i].dist)
+                        exit[i] = {nd, obs[u] ^ e.observables};
+                    continue;
+                }
+                const auto v = static_cast<std::uint32_t>(
+                    static_cast<std::uint32_t>(e.u) == u ? e.v : e.u);
+                if (nd < dist[v]) {
+                    dist[v] = nd;
+                    obs[v] = obs[u] ^ e.observables;
+                    pq.emplace(nd, v);
+                }
+            }
+        }
+        for (std::size_t j = 0; j < m; ++j)
+            pair[i][j] = {dist[syn[j]], obs[syn[j]]};
+    }
+
+    OracleMatch best;
+    best.cost = inf;
+    auto enumerate = [&](auto &self, std::uint32_t mask, double cost,
+                         std::uint32_t obs) -> void {
+        if (mask == 0) {
+            if (cost < best.cost)
+                best = {true, cost, obs};
+            return;
+        }
+        const int i = __builtin_ctz(mask);
+        const std::uint32_t rest = mask & (mask - 1);
+        if (exit[i].dist < inf)
+            self(self, rest, cost + exit[i].dist, obs ^ exit[i].obs);
+        for (std::uint32_t sub = rest; sub; sub &= sub - 1) {
+            const int j = __builtin_ctz(sub);
+            if (pair[i][j].dist < inf)
+                self(self, rest ^ (1u << j), cost + pair[i][j].dist,
+                     obs ^ pair[i][j].obs);
+        }
+    };
+    enumerate(enumerate, (1u << m) - 1, 0.0, 0);
+    return best;
+}
+
+/**
+ * 200 seeded defect sets of 2-10 defects per condition — default
+ * weights, herald-zeroed context weights (plus a few negative ones
+ * to exercise the clamp), and a round horizon with defects drawn
+ * from the visible rounds — decoded by MWPM with the reach cache on
+ * and off; the correction must be the oracle's and the cost summed
+ * over the used edges must equal the oracle's optimum.
+ */
+void
+expectOptimalOnGraph(const DecodeGraph &g, std::uint64_t seed)
+{
+    Rng rng(seed);
+    MwpmDecoder cached(g, 22, false, 2, /*reachCache=*/true);
+    MwpmDecoder uncached(g, 22, false, 2, /*reachCache=*/false);
+    std::vector<double> weights;
+    std::vector<std::uint32_t> used;
+    for (int condition = 0; condition < 3; ++condition) {
+        for (int trial = 0; trial < 200; ++trial) {
+            DecodeContext ctx;
+            std::vector<std::uint32_t> eligible;
+            if (condition == 2)
+                ctx.maxRound = static_cast<std::int32_t>(
+                    rng.below(static_cast<std::uint64_t>(
+                        g.numRounds())));
+            for (std::uint32_t n = 0; n < g.numNodes(); ++n)
+                if (ctx.maxRound < 0 ||
+                    g.detectorRound(n) <= ctx.maxRound)
+                    eligible.push_back(n);
+            if (eligible.size() < 2)
+                continue;
+            if (condition == 1) {
+                // Graphs without herald channels get random edges
+                // zeroed instead.
+                weights.clear();
+                for (const GraphEdge &e : g.edges())
+                    weights.push_back(e.weight);
+                const std::uint64_t zeroings = 1 + rng.below(3);
+                for (std::uint64_t k = 0; k < zeroings; ++k) {
+                    if (g.numHeraldChannels() > 0) {
+                        const auto c = static_cast<std::uint32_t>(
+                            rng.below(g.numHeraldChannels()));
+                        for (std::uint32_t ei : g.channelEdges(c))
+                            weights[ei] = 0.0;
+                    } else {
+                        weights[rng.below(weights.size())] = 0.0;
+                    }
+                }
+                for (int k = 0; k < 2; ++k)
+                    weights[rng.below(weights.size())] = -1.0;
+                ctx.weights = weights;
+            }
+            const std::size_t k = std::min<std::size_t>(
+                2 + rng.below(9), eligible.size());
+            for (std::size_t a = 0; a < k; ++a)
+                std::swap(eligible[a],
+                          eligible[a + rng.below(eligible.size() - a)]);
+            std::vector<std::uint32_t> syn(eligible.begin(),
+                                           eligible.begin() + k);
+            std::sort(syn.begin(), syn.end());
+
+            const OracleMatch want = bruteForceMatching(g, syn, ctx);
+            for (MwpmDecoder *dec : {&cached, &uncached}) {
+                used.clear();
+                if (!want.feasible) {
+                    EXPECT_THROW(dec->decodeEx(syn, ctx, &used),
+                                 FatalError);
+                    continue;
+                }
+                const std::uint32_t got =
+                    dec->decodeEx(syn, ctx, &used);
+                double cost = 0.0;
+                for (std::uint32_t ei : used)
+                    cost += matchMetric(g, ei, ctx);
+                EXPECT_EQ(got, want.obs)
+                    << "condition " << condition << " trial " << trial;
+                EXPECT_NEAR(cost, want.cost, 1e-9)
+                    << "condition " << condition << " trial " << trial;
+            }
+        }
+    }
+}
+
+/** FNV-1a (64-bit) over a stream of 32-bit words, byte by byte. */
+struct Fnv1a
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    void add(std::uint32_t x)
+    {
+        for (int b = 0; b < 4; ++b) {
+            h ^= (x >> (8 * b)) & 0xffu;
+            h *= 0x100000001b3ULL;
+        }
+    }
+};
 
 TEST(Graph, ChainStructure)
 {
@@ -258,6 +491,173 @@ TEST(Mwpm, MatchesBruteForceOnSmallGraphs)
         }
         EXPECT_EQ(mwpm.decode(syn), bruteForce(syn))
             << "syndrome size " << syn.size();
+    }
+
+    // Real graphs against the all-pairs + enumeration oracle.
+    expectOptimalOnGraph(memoryGraph(), 0x6d656d);
+    expectOptimalOnGraph(cnotLossSetup(3)->graph, 0x636e6f74);
+}
+
+TEST(Mwpm, UnmatchableDefectThrowsNamingIt)
+{
+    // Detectors 0-1 form a chain with boundary exits; 2-3-5 are
+    // mutually reachable but cut off from the boundary; detector 4
+    // has no mechanism at all.
+    DetectorErrorModel dem;
+    dem.numDetectors = 6;
+    dem.numObservables = 1;
+    auto addE = [&](std::vector<std::uint32_t> d, std::uint32_t obs) {
+        ErrorMechanism e;
+        e.detectors = std::move(d);
+        e.probability = 0.01;
+        e.observables = obs;
+        dem.errors.push_back(e);
+    };
+    addE({0}, 1);
+    addE({0, 1}, 0);
+    addE({1}, 0);
+    addE({2, 3}, 0);
+    addE({3, 5}, 0);
+    CircuitMeta meta;
+    meta.detectorIsX.assign(6, 0);
+    meta.observableIsX.assign(1, 0);
+    DecodingGraph g = DecodingGraph::fromDem(dem, meta);
+
+    for (bool cache : {false, true}) {
+        MwpmDecoder mwpm(g, 18, false, 2, cache);
+        auto failure = [&](std::vector<std::uint32_t> syn) {
+            try {
+                mwpm.decode(syn);
+            } catch (const FatalError &e) {
+                return std::string(e.what());
+            }
+            return std::string("no error");
+        };
+        EXPECT_NE(failure({4}).find("defect 4 reaches neither"),
+                  std::string::npos);
+        EXPECT_NE(failure({0, 4}).find("defect 4"), std::string::npos);
+        EXPECT_NE(failure({0, 2}).find("defect 2 reaches neither"),
+                  std::string::npos);
+        EXPECT_NE(failure({2, 3, 5}).find("defect 2 is one of 3"),
+                  std::string::npos);
+        // Even groups and boundary-connected defects still match.
+        EXPECT_EQ(mwpm.decode({2, 3}), 0u);
+        EXPECT_EQ(mwpm.decode({0, 3, 5}), 1u);
+        // Union-find leaves such defects unmatched without failing.
+        UnionFindDecoder uf(g);
+        EXPECT_NO_THROW(uf.decode({4}));
+    }
+}
+
+/**
+ * Bit-identity lock for the matcher rewrite: 2,048 seeded lossy
+ * transversal-CNOT shots per distance, decoded per shot the way the
+ * erasure-aware engine does (fired heralds zero their edges in a
+ * context override), by the Fallback, Correlated and Windowed kinds
+ * with the reach cache on and off.  Each shot's prediction, fallback
+ * delta and used-edge list (where the kind reports one) are folded
+ * into one FNV-1a digest.  The expected digests were computed with
+ * the 2^m subset-sweep matcher that preceded the reachable-state DP
+ * and the bounded search; any change to a correction, an edge list
+ * or a counter moves them.
+ */
+TEST(Mwpm, CnotLossCorrectionDigestPinned)
+{
+    struct Pin
+    {
+        int d;
+        std::uint64_t fallback, correlated, windowed;
+    };
+    // Computed with the subset-sweep matcher, before the rewrite.
+    constexpr Pin kPins[] = {
+        {3, 0xb708c85aa81650e5ULL, 0x55dcf48baee1e072ULL,
+         0x2307dfc87f4de1b5ULL},
+        {5, 0xf8a9c8467050691aULL, 0xbee06812d6325195ULL,
+         0x95baf7efcc8ca887ULL},
+    };
+    for (const Pin &pin : kPins) {
+        const auto setup = cnotLossSetup(pin.d);
+        const DecodeGraph &g = setup->graph;
+        ASSERT_TRUE(setup->compiled.has_value());
+        ASSERT_GT(g.numHeraldChannels(), 0u);
+
+        // One-lane (scalar64) sampler: the stream the noise goldens
+        // rely on across word backends and dispatch levels.
+        sim::FrameSimulator fs(0x5eed0000u + pin.d, 1);
+        sim::FrameBatch batch;
+        sim::SyndromeBlock block;
+        const std::uint64_t live = ~0ULL;
+        std::vector<std::vector<std::uint32_t>> syns, heralds;
+        while (syns.size() < 2048) {
+            fs.sampleInto(*setup->compiled, batch);
+            sim::extractSyndromeBlock(batch, {&live, 1}, block);
+            for (std::uint64_t s = 0; s < block.shots(); ++s) {
+                const auto syn = block.syndrome(s);
+                const auto her = block.heralds(s);
+                syns.emplace_back(syn.begin(), syn.end());
+                heralds.emplace_back(her.begin(), her.end());
+            }
+        }
+
+        for (int cache : {1, 0}) {
+            DecoderConfig cfg;
+            cfg.predecode = 0;
+            cfg.reachCache = cache;
+            FallbackDecoder fallback(g, cfg.mwpmMaxDefects, false, 2,
+                                     cache != 0);
+            CorrelatedDecoder correlated(g, cfg);
+            // These circuits have 6 rounds, which the default 6-round
+            // window covers whole; a 3-round window makes every shot
+            // decode under round horizons.
+            cfg.windowRounds = 3;
+            cfg.commitRounds = 1;
+            WindowedDecoder windowed(g, cfg);
+            Fnv1a hf, hc, hw;
+            std::vector<double> weights;
+            for (const GraphEdge &e : g.edges())
+                weights.push_back(e.weight);
+            std::vector<std::uint32_t> used;
+            for (std::size_t s = 0; s < syns.size(); ++s) {
+                // Zero every edge a fired herald can explain, as
+                // MonteCarloEngine::runShard does.
+                DecodeContext ctx;
+                for (std::uint32_t c : heralds[s])
+                    for (std::uint32_t ei : g.channelEdges(c))
+                        weights[ei] = 0.0;
+                if (!heralds[s].empty())
+                    ctx.weights = weights;
+
+                auto fold = [&](Fnv1a &h, Decoder &dec, auto decodeFn) {
+                    const std::uint64_t fb0 = dec.fallbacks();
+                    used.clear();
+                    h.add(decodeFn());
+                    h.add(static_cast<std::uint32_t>(dec.fallbacks() -
+                                                     fb0));
+                    h.add(static_cast<std::uint32_t>(used.size()));
+                    for (std::uint32_t ei : used)
+                        h.add(ei);
+                };
+                fold(hf, fallback, [&] {
+                    return fallback.decodeEx(syns[s], ctx, &used);
+                });
+                fold(hc, correlated, [&] {
+                    return correlated.decodeEx(syns[s], ctx, &used);
+                });
+                fold(hw, windowed, [&] {
+                    return windowed.decodeWithContext(syns[s], ctx);
+                });
+
+                for (std::uint32_t c : heralds[s])
+                    for (std::uint32_t ei : g.channelEdges(c))
+                        weights[ei] = g.edges()[ei].weight;
+            }
+            EXPECT_EQ(hf.h, pin.fallback)
+                << "fallback d=" << pin.d << " cache " << cache;
+            EXPECT_EQ(hc.h, pin.correlated)
+                << "correlated d=" << pin.d << " cache " << cache;
+            EXPECT_EQ(hw.h, pin.windowed)
+                << "windowed d=" << pin.d << " cache " << cache;
+        }
     }
 }
 
