@@ -18,11 +18,11 @@
  * "@d7" suffix), which scripts/perf_smoke.sh archives into the CI
  * perf-history artifact.
  * Each kind is timed four ways on the same accepted shots: the
- * per-shot decode() loop, one decodeBatch() call over the packed
- * CSR syndromes (MWPM reach cache on — the default — and off, so
- * the "no cache" column isolates the Dijkstra-sharing win), and
- * decodeBatch() with the predecode pair-peeler enabled (the
- * "<kind>+batch+predecode" budget lines).
+ * per-shot decode() loop, one decodeBatchSorted() call with the memo
+ * off over the packed CSR syndromes (MWPM reach cache on — the
+ * default — and off, so the "no cache" column isolates the
+ * Dijkstra-sharing win), and the same call with the predecode
+ * pair-peeler enabled (the "<kind>+batch+predecode" budget lines).
  * WARN rather than FAIL: CI machine classes vary, and the tripwire
  * for gross regressions is the wall-clock baseline in
  * bench/perf_baseline.txt.
@@ -64,15 +64,15 @@ struct Fixture
         rounds = graph.numRounds();
         sim::FrameSimulator fs(7);
         sim::FrameBatch batch;
+        sim::SyndromeBlock block;
         const std::uint64_t live = ~0ULL;
         while (syndromes.size() < shots) {
             fs.sampleInto(exp.circuit, batch);
-            const std::size_t base = syndromes.size();
-            syndromes.resize(base + batch.shots());
-            sim::extractSyndromes(
-                batch, {&live, 1},
-                std::span<std::vector<std::uint32_t>>(
-                    &syndromes[base], batch.shots()));
+            sim::extractSyndromeBlock(batch, {&live, 1}, block);
+            for (std::uint64_t s = 0; s < block.shots(); ++s) {
+                const auto syn = block.syndrome(s);
+                syndromes.emplace_back(syn.begin(), syn.end());
+            }
         }
         syndromes.resize(shots);
     }
@@ -161,10 +161,12 @@ usPerShot(decoder::Decoder &dec, const Fixture &f,
 }
 
 /**
- * Mean decodeBatch time per shot, in microseconds: one batched call
- * over the packed CSR syndromes — the shape MonteCarloEngine feeds
- * decoders — so the delta vs usPerShot is the per-shot virtual-call
- * and vector-copy overhead (plus the predecode win when enabled).
+ * Mean decodeBatchSorted time per shot with the memo off, in
+ * microseconds: one call over the packed CSR syndromes — the shape
+ * MonteCarloEngine feeds decoders — decoding every shot in ascending
+ * defect-count order, so the delta vs usPerShot is the per-shot
+ * vector copy plus the sort's warm-arena effect (plus the predecode
+ * win when enabled).
  */
 double
 usPerShotBatch(decoder::Decoder &dec, const BatchStorage &batch,
@@ -174,10 +176,11 @@ usPerShotBatch(decoder::Decoder &dec, const BatchStorage &batch,
         return 0.0;
     out.resize(batch.shots);
     const decoder::SyndromeBatch view = batch.view();
-    dec.decodeBatch(view, out);  // warm scratch
+    decoder::BatchDecodeScratch scratch;
+    decoder::decodeBatchSorted(dec, view, out, scratch, false);  // warm
     dec.reset();
     const auto t0 = std::chrono::steady_clock::now();
-    dec.decodeBatch(view, out);
+    decoder::decodeBatchSorted(dec, view, out, scratch, false);
     const double secs = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
@@ -222,8 +225,8 @@ main()
             BatchStorage batch;
             const double us = usPerShot(*dec, f, &skipped, &batch);
             const double usRound = us / f.rounds;
-            // Same accepted shots, batched: first through the plain
-            // decodeBatch entry point, then with the predecode
+            // Same accepted shots, batched: first through plain
+            // decodeBatchSorted (memo off), then with the predecode
             // peeler in front of the matcher.
             dec->reset();
             const double usBatch = usPerShotBatch(*dec, batch, out);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Service front-end throughput bench: requests/second through the
- * JobQueue (src/service/job_queue.hh) with a cold cache (every
+ * JobService (src/service/job_service.hh) with a cold cache (every
  * request unique, all evaluated) versus a warm cache (the same
  * request set resubmitted, all served from the canonicalKey memo),
  * plus the JSON round-trip cost a line-delimited driver like
@@ -36,7 +36,7 @@
 #include <unistd.h>
 
 #include "src/estimator/estimator.hh"
-#include "src/service/job_queue.hh"
+#include "src/service/job_service.hh"
 
 namespace {
 
@@ -81,7 +81,7 @@ makeRequests(std::size_t n)
 }
 
 double
-runPhase(service::JobQueue &queue,
+runPhase(service::JobService &queue,
          const std::vector<est::EstimateRequest> &reqs,
          const char *label)
 {
@@ -107,7 +107,7 @@ main()
     const std::size_t n = 20000;
     const std::vector<est::EstimateRequest> reqs = makeRequests(n);
 
-    service::JobQueue queue;
+    service::JobService queue;
     // Cold: every canonical key is new, so all n are evaluated.
     runPhase(queue, reqs, "cold");
     // Warm: the same keys again — zero evaluations, pure cache.
@@ -138,7 +138,7 @@ main()
     // (the read-all design paid the whole batch here) and the
     // completion-order throughput of the full stream.
     {
-        service::JobQueue q;
+        service::JobService q;
         const auto start = Clock::now();
         std::thread feeder([&] {
             for (const est::EstimateRequest &req : reqs)
@@ -183,13 +183,13 @@ main()
         {
             service::JobQueueOptions o;
             o.cacheFile = path;
-            service::JobQueue pq(o);
+            service::JobService pq(o);
             coldPersist = runPhase(pq, reqs, "cold-persist");
         }  // destructor drains; every outcome is now on disk
         {
             service::JobQueueOptions o;
             o.cacheFile = path;
-            service::JobQueue pq(o);
+            service::JobService pq(o);
             // Untimed warmup pass (allocator + page state), then
             // eight timed passes over the set: a >100 ms
             // steady-state window so the ratio below is not at the

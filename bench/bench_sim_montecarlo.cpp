@@ -13,15 +13,12 @@
  *
  * Also benchmarks the frame-sampler word backends (portable 64-bit
  * vs 4-lane and 8-lane wide bit-planes, common/word.hh), the full
- * sample->extract->decode hot path (the legacy wide256 per-shot
- * pipeline vs the wide512 CSR-block pipeline — both sides with the
- * reach cache pinned off so the line measures pipeline shape, not
- * cache state — and the previous generation of that pipeline —
- * baseline codegen, scalar extraction, no memo — vs the current
- * full stack of runtime CPU dispatch, transpose extraction, decode
- * memoization, the process-global syndrome memo and the MWPM reach
- * cache; the "hotpath-speedup[...]" / "hotpath-speedup-vs-pr7[...]"
- * / "decode-memo-hit-rate[...]" / "cross-batch-memo-hit-rate[...]"
+ * sample->extract->decode hot path (the previous generation of that
+ * pipeline — baseline codegen, scalar extraction, no memo — vs the
+ * current full stack of runtime CPU dispatch, transpose extraction,
+ * decode memoization, the process-global syndrome memo and the MWPM
+ * reach cache; the "hotpath-speedup-vs-pr7[...]" /
+ * "decode-memo-hit-rate[...]" / "cross-batch-memo-hit-rate[...]"
  * lines record the wins), the compiled-artifact cache over a
  * SweepRunner seed grid ("compile-cache-speedup[...]"), and the
  * sharded engine's thread scaling; the final
@@ -55,7 +52,7 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 
 /**
  * Raw sampler throughput for one backend: sampleInto +
- * extractSyndromes (no decoding), the exact per-batch work the
+ * extractSyndromeBlock (no decoding), the exact per-batch work the
  * Monte-Carlo engine performs before handing shots to the decoder.
  */
 double
@@ -65,94 +62,16 @@ samplerShotsPerSec(const traq::codes::Experiment &e, unsigned lanes,
     using namespace traq;
     sim::FrameSimulator fs(1234, lanes);
     sim::FrameBatch batch;
-    std::vector<std::uint64_t> live(lanes, ~0ULL);
-    std::vector<std::vector<std::uint32_t>> syndromes(64ULL * lanes);
-    // Warm allocations outside the timed window.
-    fs.sampleInto(e.circuit, batch);
-    const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t done = 0;
-    while (done < shots) {
-        fs.sampleInto(e.circuit, batch);
-        for (auto &s : syndromes)
-            s.clear();
-        sim::extractSyndromes(batch, live, syndromes);
-        done += batch.shots();
-    }
-    return static_cast<double>(done) / secondsSince(t0);
-}
-
-/**
- * End-to-end hot-path throughput, legacy shape: the pre-refactor
- * pipeline of sampleInto + extractSyndromes into 64 * lanes
- * per-shot vectors + one virtual decode() call (with its vector
- * copy) per shot.  The reach cache is pinned off here and in
- * blockPipelineShotsPerSec: the hotpath-speedup line compares
- * pipeline *shapes*, and the default-on cache accelerates the
- * per-shot comparator enough to push the ratio under 1x on small
- * graphs — equal cache state keeps the comparison meaningful.
- */
-double
-legacyPipelineShotsPerSec(const traq::codes::Experiment &e,
-                          const traq::decoder::DecodeGraph &graph,
-                          unsigned lanes, std::uint64_t shots)
-{
-    using namespace traq;
-    sim::FrameSimulator fs(1234, lanes);
-    sim::FrameBatch batch;
-    std::vector<std::uint64_t> live(lanes, ~0ULL);
-    std::vector<std::vector<std::uint32_t>> syndromes(64ULL * lanes);
-    decoder::DecoderConfig cfg;
-    cfg.reachCache = 0;  // equal cache state on both sides
-    auto dec = decoder::makeDecoder(decoder::DecoderKind::Fallback,
-                                    graph, cfg);
-    fs.sampleInto(e.circuit, batch);  // warm allocations
-    const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t done = 0;
-    while (done < shots) {
-        fs.sampleInto(e.circuit, batch);
-        for (auto &s : syndromes)
-            s.clear();
-        sim::extractSyndromes(batch, live, syndromes);
-        for (const auto &s : syndromes)
-            dec->decode(s);
-        done += batch.shots();
-    }
-    return static_cast<double>(done) / secondsSince(t0);
-}
-
-/**
- * End-to-end hot-path throughput, block shape: sampleInto +
- * extractSyndromeBlock (CSR, no per-shot vectors) + one
- * decodeBatch call per batch, optionally with the predecode fast
- * path peeling isolated pairs before the matcher.
- */
-double
-blockPipelineShotsPerSec(const traq::codes::Experiment &e,
-                         const traq::decoder::DecodeGraph &graph,
-                         unsigned lanes, std::uint64_t shots,
-                         bool predecode)
-{
-    using namespace traq;
-    sim::FrameSimulator fs(1234, lanes);
-    sim::FrameBatch batch;
     sim::SyndromeBlock block;
     std::vector<std::uint64_t> live(lanes, ~0ULL);
-    std::vector<std::uint32_t> predicted(64ULL * lanes);
-    decoder::DecoderConfig cfg;
-    cfg.predecode = predecode ? 1 : 0;
-    cfg.reachCache = 0;  // match legacyPipelineShotsPerSec
-    auto dec = decoder::makeDecoder(decoder::DecoderKind::Fallback,
-                                    graph, cfg);
-    fs.sampleInto(e.circuit, batch);  // warm allocations
+    // Warm allocations outside the timed window.
+    fs.sampleInto(e.circuit, batch);
+    sim::extractSyndromeBlock(batch, live, block);
     const auto t0 = std::chrono::steady_clock::now();
     std::uint64_t done = 0;
     while (done < shots) {
         fs.sampleInto(e.circuit, batch);
         sim::extractSyndromeBlock(batch, live, block);
-        decoder::SyndromeBatch view;
-        view.offsets = block.offsets;
-        view.defects = block.defects;
-        dec->decodeBatch(view, predicted);
         done += batch.shots();
     }
     return static_cast<double>(done) / secondsSince(t0);
@@ -326,9 +245,8 @@ main()
                     wide512Rate / scalarRate);
     }
 
-    std::printf("\n=== Hot path: sample + extract + decode, legacy "
-                "wide256 per-shot pipeline vs wide512 CSR-block "
-                "pipeline (p = 1e-3) ===\n\n");
+    std::printf("\n=== Hot path: sample + extract + decode, previous "
+                "generation vs current stack (p = 1e-3) ===\n\n");
     {
         Table h({"config", "pipeline", "lanes", "shots/s",
                  "speedup"});
@@ -341,31 +259,14 @@ main()
             const std::uint64_t shots = d == 3 ? 1 << 17 : 1 << 16;
             const std::string cfg =
                 "memory d=" + std::to_string(d);
-            const double legacy = legacyPipelineShotsPerSec(
-                e, graph, kWideWordLanes, shots);
-            h.addRow({cfg, "per-shot vectors + decode()",
-                      std::to_string(kWideWordLanes),
-                      fmtE(legacy, 2), "1.00x"});
-            const double block = blockPipelineShotsPerSec(
-                e, graph, kWide512WordLanes, shots, false);
-            h.addRow({cfg, "CSR block + decodeBatch",
-                      std::to_string(kWide512WordLanes),
-                      fmtE(block, 2),
-                      fmtF(block / legacy, 2) + "x"});
-            const double peeled = blockPipelineShotsPerSec(
-                e, graph, kWide512WordLanes, shots, true);
-            h.addRow({cfg, "CSR block + batch + predecode",
-                      std::to_string(kWide512WordLanes),
-                      fmtE(peeled, 2),
-                      fmtF(peeled / legacy, 2) + "x"});
-            // This PR's generation gap: the previous pipeline shape
+            // The generation gap: the previous pipeline shape
             // (baseline codegen, scalar extraction, no memo, no
             // reach cache) vs the full current stack.
             const double prior = fullStackShotsPerSec(
                 e, graph, kWide512WordLanes, shots, true);
             h.addRow({cfg, "prev gen (baseline+scalar extract)",
                       std::to_string(kWide512WordLanes),
-                      fmtE(prior, 2), fmtF(prior / legacy, 2) + "x"});
+                      fmtE(prior, 2), "1.00x"});
             double memoHitRate = 0.0;
             double crossBatchRate = 0.0;
             const double full = fullStackShotsPerSec(
@@ -373,25 +274,15 @@ main()
                 &memoHitRate, &crossBatchRate);
             h.addRow({cfg, "dispatch+transpose+memo+reach-cache",
                       std::to_string(kWide512WordLanes),
-                      fmtE(full, 2), fmtF(full / legacy, 2) + "x"});
+                      fmtE(full, 2), fmtF(full / prior, 2) + "x"});
             // Machine-readable records of the hot-path wins (the
             // acceptance lines; scripts/perf_smoke.sh collects
-            // them).  "hotpath-speedup" keeps its historical
-            // meaning (block pipeline vs per-shot legacy, reach
-            // cache pinned off on both sides so it measures the
-            // pipeline shape; target >= 1x);
-            // "hotpath-speedup-vs-pr7" is the cross-generation gate
-            // (target >= 1.5x at d=5 on AVX2-capable hardware);
-            // "cross-batch-memo-hit-rate" is the caching-tier-1
-            // acceptance line (must be >= the per-batch
-            // "decode-memo-hit-rate" — the global tier only adds
-            // hits).
-            std::printf("hotpath-speedup[memory d=%d]: %.2fx "
-                        "(wide512 block+batch+predecode vs wide256 "
-                        "per-shot, equal cache state, %s)\n",
-                        d, peeled / legacy,
-                        cpuDispatchName(
-                            resolveCpuDispatch(CpuDispatch::Auto)));
+            // them).  "hotpath-speedup-vs-pr7" is the
+            // cross-generation gate (target >= 1.5x at d=5 on
+            // AVX2-capable hardware); "cross-batch-memo-hit-rate" is
+            // the caching-tier-1 acceptance line (must be >= the
+            // per-batch "decode-memo-hit-rate" — the global tier
+            // only adds hits).
             std::printf("hotpath-speedup-vs-pr7[memory d=%d]: "
                         "%.2fx (dispatch+transpose+memo+reach-cache "
                         "vs baseline+scalar-extract)\n",

@@ -117,71 +117,63 @@ registeredDecoderKinds()
     return kinds;
 }
 
-bool
-resolvePredecode(int requested)
-{
-    if (requested >= 0)
-        return requested != 0;
-    if (const char *env = std::getenv("TRAQ_PREDECODE")) {
-        const std::string_view v(env);
-        if (v.empty() || v == "0" || v == "off" || v == "false")
-            return false;
-        if (v == "1" || v == "on" || v == "true")
-            return true;
-        TRAQ_FATAL("unknown TRAQ_PREDECODE value '" +
-                   std::string(v) +
-                   "' (known: 0/off/false, 1/on/true)");
-    }
-    return false;
-}
-
 namespace {
 
-/** Shared body of the default-ON tri-state resolvers. */
+/**
+ * The one tri-state parser behind every resolveX(): a non-negative
+ * request wins (0 off, positive on); otherwise the environment
+ * variable decides, and unset or empty falls back to the feature's
+ * default.  Unknown spellings are fatal, listing the known ones.
+ */
 bool
-resolveOnByDefault(int requested, const char *envName)
+resolveTriState(int requested, const char *envName, bool fallback)
 {
     if (requested >= 0)
         return requested != 0;
     if (const char *env = std::getenv(envName)) {
         const std::string_view v(env);
-        if (!v.empty()) {
-            if (v == "0" || v == "off" || v == "false")
-                return false;
-            if (v == "1" || v == "on" || v == "true")
-                return true;
+        if (v == "0" || v == "off" || v == "false")
+            return false;
+        if (v == "1" || v == "on" || v == "true")
+            return true;
+        if (!v.empty())
             TRAQ_FATAL("unknown " + std::string(envName) +
                        " value '" + std::string(v) +
                        "' (known: 0/off/false, 1/on/true)");
-        }
     }
-    return true;
+    return fallback;
 }
 
 } // namespace
 
 bool
+resolvePredecode(int requested)
+{
+    return resolveTriState(requested, "TRAQ_PREDECODE", false);
+}
+
+bool
 resolveDecodeMemo(int requested)
 {
-    return resolveOnByDefault(requested, "TRAQ_DECODE_MEMO");
+    return resolveTriState(requested, "TRAQ_DECODE_MEMO", true);
 }
 
 bool
 resolveReachCache(int requested)
 {
-    return resolveOnByDefault(requested, "TRAQ_REACH_CACHE");
+    return resolveTriState(requested, "TRAQ_REACH_CACHE", true);
 }
 
 bool
 resolveGlobalMemo(int requested)
 {
-    return resolveOnByDefault(requested, "TRAQ_GLOBAL_MEMO");
+    return resolveTriState(requested, "TRAQ_GLOBAL_MEMO", true);
 }
 
 bool
 resolveCompileCache(int requested)
 {
-    return resolveOnByDefault(requested, "TRAQ_COMPILE_CACHE");
+    return resolveTriState(requested, "TRAQ_COMPILE_CACHE", true);
 }
 
 DecoderKind
@@ -221,15 +213,59 @@ makeDecoder(DecoderKind kind, const DecodeGraph &graph,
 
 namespace {
 
-/** FNV-style content hash of a defect list (memo key; collisions
+/** FNV-style content hash of a shot's defects, with its fired
+ *  herald channels mixed in when there are any (memo key; collisions
  *  are resolved by a full compare, never trusted). */
 inline std::uint64_t
-hashSyndrome(std::span<const std::uint32_t> syn)
+hashSyndrome(std::span<const std::uint32_t> syn,
+             std::span<const std::uint32_t> heralds)
 {
     std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ syn.size();
     for (std::uint32_t x : syn)
         h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    if (!heralds.empty()) {
+        h ^= 0xc2b2ae3d27d4eb4fULL + heralds.size();
+        for (std::uint32_t c : heralds)
+            h ^= c + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    }
     return h;
+}
+
+/**
+ * Decode one heralded row under the graph's weights with every edge
+ * its fired channels can explain zeroed.  The previous heralded
+ * row's zeros are undone first rather than after the decode, so a
+ * decode that throws cannot leave stale zeros behind.
+ */
+std::uint32_t
+decodeHeralded(Decoder &dec, const DecodeGraph &graph,
+               std::span<const std::uint32_t> syn,
+               std::span<const std::uint32_t> heralds,
+               BatchDecodeScratch &scratch)
+{
+    auto &weights = scratch.heraldWeights;
+    auto &touched = scratch.heraldTouched;
+    const auto &edges = graph.edges();
+    if (weights.size() != edges.size() ||
+        scratch.heraldGraph != graph.contentHash()) {
+        weights.clear();
+        for (const GraphEdge &e : edges)
+            weights.push_back(e.weight);
+        touched.clear();
+        scratch.heraldGraph = graph.contentHash();
+    }
+    for (std::uint32_t ei : touched)
+        weights[ei] = edges[ei].weight;
+    touched.clear();
+    for (std::uint32_t c : heralds)
+        for (std::uint32_t ei : graph.channelEdges(c))
+            if (weights[ei] != 0.0) {
+                touched.push_back(ei);
+                weights[ei] = 0.0;
+            }
+    DecodeContext ctx;
+    ctx.weights = weights;
+    return dec.decodeWithContext(syn, ctx);
 }
 
 /** One mixing step of the setup-key digests. */
@@ -283,6 +319,9 @@ decodeBatchSorted(Decoder &dec, const SyndromeBatch &batch,
     TRAQ_REQUIRE(global == nullptr || memo,
                  "decodeBatchSorted: the global memo rides on the "
                  "per-batch memo's replay bookkeeping (memo on)");
+    TRAQ_REQUIRE(batch.heraldIds.empty() || batch.graph != nullptr,
+                 "decodeBatchSorted: heralded shots need the graph "
+                 "their channel ids index");
     BatchDecodeStats stats;
     const std::uint64_t n = batch.shots();
     TRAQ_REQUIRE(out.size() >= n,
@@ -305,119 +344,89 @@ decodeBatchSorted(Decoder &dec, const SyndromeBatch &batch,
                                     batch.offsets[b];
                      });
 
-    if (!memo) {
-        // Rebuild the CSR in sorted order and decode it with the one
-        // virtual decodeBatch call (the pre-memo engine hot path).
-        scratch.sortedOffsets.assign(1, 0);
-        scratch.sortedDefects.clear();
-        scratch.sortedDefects.reserve(batch.defects.size());
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const auto syn = batch.syndrome(perm[i]);
-            scratch.sortedDefects.insert(scratch.sortedDefects.end(),
-                                         syn.begin(), syn.end());
-            scratch.sortedOffsets.push_back(
-                static_cast<std::uint32_t>(
-                    scratch.sortedDefects.size()));
-        }
-        const SyndromeBatch view{scratch.sortedOffsets,
-                                 scratch.sortedDefects};
-        scratch.predictedSorted.resize(n);
-        dec.decodeBatch(view, scratch.predictedSorted);
-        for (std::uint64_t i = 0; i < n; ++i)
-            out[perm[i]] = scratch.predictedSorted[i];
-        return stats;
-    }
-
-    // Memo path: collapse the batch to its distinct syndromes (CSR
-    // over "unique rows"), decode each once, replay everywhere else.
+    // Collapse the sorted shots into decode rows: with memo on, one
+    // per distinct (defects, heralds) in first-occurrence order (which
+    // inherits the defect-count sort); with memo off, one per shot.
     scratch.memo.clear();
-    scratch.uniqueOf.resize(n);
-    scratch.uniqueOffsets.assign(1, 0);
-    scratch.uniqueDefects.clear();
-    auto appendUnique =
-        [&](std::span<const std::uint32_t> syn) -> std::uint32_t {
-        scratch.uniqueDefects.insert(scratch.uniqueDefects.end(),
-                                     syn.begin(), syn.end());
-        scratch.uniqueOffsets.push_back(static_cast<std::uint32_t>(
-            scratch.uniqueDefects.size()));
-        return static_cast<std::uint32_t>(
-            scratch.uniqueOffsets.size() - 2);
-    };
+    scratch.rowOf.resize(n);
+    scratch.rowShot.clear();
     for (std::uint64_t i = 0; i < n; ++i) {
-        const auto syn = batch.syndrome(perm[i]);
-        auto [it, inserted] = scratch.memo.try_emplace(
-            hashSyndrome(syn),
-            static_cast<std::uint32_t>(scratch.uniqueOffsets.size() -
-                                       1));
-        if (inserted) {
-            scratch.uniqueOf[i] = appendUnique(syn);
-            continue;
+        const std::uint32_t s = perm[i];
+        if (memo) {
+            const auto syn = batch.syndrome(s);
+            const auto heralds = batch.heralds(s);
+            auto [it, inserted] = scratch.memo.try_emplace(
+                hashSyndrome(syn, heralds),
+                static_cast<std::uint32_t>(scratch.rowShot.size()));
+            if (!inserted) {
+                const std::uint32_t r = it->second;
+                const std::uint32_t first = scratch.rowShot[r];
+                if (std::ranges::equal(syn, batch.syndrome(first)) &&
+                    std::ranges::equal(heralds,
+                                       batch.heralds(first))) {
+                    ++stats.memoHits;
+                    scratch.rowOf[i] = r;
+                    continue;
+                }
+                // Hash collision: decode it as its own row.  The map
+                // keeps the first claimant, so later copies of *that*
+                // key still hit; later copies of this one re-collide
+                // and re-decode — correct, just not deduplicated.
+            }
         }
-        const std::uint32_t u = it->second;
-        const auto useen = std::span<const std::uint32_t>(
-            scratch.uniqueDefects.data() + scratch.uniqueOffsets[u],
-            scratch.uniqueOffsets[u + 1] - scratch.uniqueOffsets[u]);
-        if (useen.size() == syn.size() &&
-            std::equal(useen.begin(), useen.end(), syn.begin())) {
-            ++stats.memoHits;
-            scratch.uniqueOf[i] = u;
-        } else {
-            // Hash collision: decode it as its own row.  The map
-            // keeps the first claimant, so later copies of *that*
-            // syndrome still hit; later copies of this one re-collide
-            // and re-decode — correct, just not deduplicated.
-            scratch.uniqueOf[i] = appendUnique(syn);
-        }
+        scratch.rowOf[i] =
+            static_cast<std::uint32_t>(scratch.rowShot.size());
+        scratch.rowShot.push_back(s);
     }
 
-    // Decode each distinct syndrome once, in first-occurrence order
-    // (which inherits the defect-count sort), recording the counter
-    // deltas the replayed shots must reproduce.  With tier 1 active,
-    // a distinct syndrome cached by an earlier batch replays instead
-    // of decoding — the cached deltas equal what the decode would
-    // have produced, so the accounting below cannot tell the
-    // difference.
-    const std::size_t numUnique = scratch.uniqueOffsets.size() - 1;
-    const SyndromeBatch uview{scratch.uniqueOffsets,
-                              scratch.uniqueDefects};
-    scratch.predictedUnique.resize(numUnique);
-    scratch.uniqueFallbacks.resize(numUnique);
-    scratch.uniquePeels.resize(numUnique);
+    // Decode each row once, recording the counter deltas the
+    // replayed shots must reproduce.  With tier 1 active, a row
+    // cached by an earlier batch replays instead of decoding — the
+    // cached deltas equal what the decode would have produced, so
+    // the accounting below cannot tell the difference.
+    const std::size_t numRows = scratch.rowShot.size();
+    scratch.rowPredicted.resize(numRows);
+    scratch.rowFallbacks.resize(numRows);
+    scratch.rowPeels.resize(numRows);
     const std::uint64_t fbBase = dec.fallbacks();
     const std::uint64_t ppBase = dec.predecodedPairs();
-    for (std::size_t u = 0; u < numUnique; ++u) {
-        const auto syn = uview.syndrome(u);
+    for (std::size_t r = 0; r < numRows; ++r) {
+        const auto syn = batch.syndrome(scratch.rowShot[r]);
+        const auto heralds = batch.heralds(scratch.rowShot[r]);
         if (global != nullptr) {
             GlobalDecodeMemo::Value v;
-            if (global->lookup(setup, syn, {}, v)) {
-                scratch.predictedUnique[u] = v.predicted;
-                scratch.uniqueFallbacks[u] = v.fallbacks;
-                scratch.uniquePeels[u] = v.peels;
+            if (global->lookup(setup, syn, heralds, v)) {
+                scratch.rowPredicted[r] = v.predicted;
+                scratch.rowFallbacks[r] = v.fallbacks;
+                scratch.rowPeels[r] = v.peels;
                 ++stats.globalHits;
                 continue;
             }
         }
         const std::uint64_t fb0 = dec.fallbacks();
         const std::uint64_t pp0 = dec.predecodedPairs();
-        scratch.predictedUnique[u] = dec.decodeSpan(syn);
-        scratch.uniqueFallbacks[u] = dec.fallbacks() - fb0;
-        scratch.uniquePeels[u] = dec.predecodedPairs() - pp0;
+        scratch.rowPredicted[r] =
+            heralds.empty()
+                ? dec.decodeSpan(syn)
+                : decodeHeralded(dec, *batch.graph, syn, heralds,
+                                 scratch);
+        scratch.rowFallbacks[r] = dec.fallbacks() - fb0;
+        scratch.rowPeels[r] = dec.predecodedPairs() - pp0;
         if (global != nullptr)
             global->insert(
-                setup, syn, {},
-                {scratch.predictedUnique[u],
-                 static_cast<std::uint32_t>(
-                     scratch.uniqueFallbacks[u]),
-                 static_cast<std::uint32_t>(scratch.uniquePeels[u])});
+                setup, syn, heralds,
+                {scratch.rowPredicted[r],
+                 static_cast<std::uint32_t>(scratch.rowFallbacks[r]),
+                 static_cast<std::uint32_t>(scratch.rowPeels[r])});
     }
 
     // Replayed counter shares: everything the batch owes minus what
-    // the decoder actually incremented while decoding the uniques.
+    // the decoder actually incremented while decoding the rows.
     for (std::uint64_t i = 0; i < n; ++i) {
-        const std::uint32_t u = scratch.uniqueOf[i];
-        out[perm[i]] = scratch.predictedUnique[u];
-        stats.replayedFallbacks += scratch.uniqueFallbacks[u];
-        stats.replayedPeels += scratch.uniquePeels[u];
+        const std::uint32_t r = scratch.rowOf[i];
+        out[perm[i]] = scratch.rowPredicted[r];
+        stats.replayedFallbacks += scratch.rowFallbacks[r];
+        stats.replayedPeels += scratch.rowPeels[r];
     }
     stats.replayedFallbacks -= dec.fallbacks() - fbBase;
     stats.replayedPeels -= dec.predecodedPairs() - ppBase;

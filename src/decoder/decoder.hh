@@ -179,7 +179,12 @@ struct DecoderConfig
  * flipped detectors are defects[offsets[s] .. offsets[s+1]),
  * ascending.  This is the decoder-side shape of sim::SyndromeBlock
  * (spans, so the decoder layer needs no sim dependency) and the
- * input of Decoder::decodeBatch.
+ * input of decodeBatchSorted.
+ *
+ * For erasure-aware decoding the view also carries each shot's fired
+ * herald channels, in the same CSR layout, plus the graph whose
+ * channel ids they are.  Left empty (the default), every shot is
+ * clean and decodes on the graph's own weights.
  */
 struct SyndromeBatch
 {
@@ -187,6 +192,14 @@ struct SyndromeBatch
     std::span<const std::uint32_t> offsets;
     /** Flipped detector ids, shot-major, ascending within a shot. */
     std::span<const std::uint32_t> defects;
+    /** Herald CSR row starts (size shots() + 1), or empty when the
+     *  batch carries no heralds. */
+    std::span<const std::uint32_t> heraldOffsets;
+    /** Fired herald channel ids, shot-major, ascending per shot. */
+    std::span<const std::uint32_t> heraldIds;
+    /** Graph the herald channel ids index (DecodeGraph::channelEdges);
+     *  required when any shot carries heralds. */
+    const DecodeGraph *graph = nullptr;
 
     std::uint64_t shots() const
     {
@@ -197,6 +210,15 @@ struct SyndromeBatch
     {
         return {defects.data() + offsets[s],
                 offsets[s + 1] - offsets[s]};
+    }
+
+    /** Shot s's fired herald channels (empty for a clean shot). */
+    std::span<const std::uint32_t> heralds(std::uint64_t s) const
+    {
+        if (heraldOffsets.empty())
+            return {};
+        return {heraldIds.data() + heraldOffsets[s],
+                heraldOffsets[s + 1] - heraldOffsets[s]};
     }
 };
 
@@ -228,26 +250,10 @@ class Decoder
     }
 
     /**
-     * Decode a whole batch of syndromes, writing out[s] for shot s
-     * (out.size() >= batch.shots()).  Defined as the shot loop over
-     * decodeSpan() — bit-identical to per-shot decoding by
-     * construction, for any override of the per-shot entry points —
-     * and the engine's hot-path entry: one virtual call per batch,
-     * arena scratch staying warm across the N shots.
-     */
-    virtual void decodeBatch(const SyndromeBatch &batch,
-                             std::span<std::uint32_t> out)
-    {
-        const std::uint64_t n = batch.shots();
-        for (std::uint64_t s = 0; s < n; ++s)
-            out[s] = decodeSpan(batch.syndrome(s));
-    }
-
-    /**
      * Decode one syndrome under per-shot context overrides — the
-     * erasure-aware entry point.  The engine zeroes the weights of
-     * edges explainable by fired herald channels and hands the
-     * override span in here; every built-in decoder kind overrides
+     * erasure-aware entry point.  decodeBatchSorted zeroes the
+     * weights of edges explainable by fired herald channels and hands
+     * the override span in here; every built-in decoder kind overrides
      * this to thread the context through its matching passes.  The
      * base implementation only accepts an empty context (it routes
      * to decodeSpan), so external registrations that predate the
@@ -311,11 +317,11 @@ struct BatchDecodeStats
     /** Shots answered by replaying a memoized correction. */
     std::uint64_t memoHits = 0;
     /**
-     * Distinct syndromes of this batch answered from the
-     * process-global memo (tier 1) instead of decoding.  Unlike the
-     * deterministic per-batch counters this depends on what other
-     * batches/threads cached first, so it is reported separately and
-     * never folded into tallies.
+     * Distinct (defects, heralds) rows of this batch answered from
+     * the process-global memo (tier 1) instead of decoding.  Unlike
+     * the deterministic per-batch counters this depends on what
+     * other batches/threads cached first, so it is reported
+     * separately and never folded into tallies.
      */
     std::uint64_t globalHits = 0;
     /**
@@ -334,49 +340,62 @@ struct BatchDecodeStats
  * Reusable scratch for decodeBatchSorted().  All vectors keep their
  * capacity warm across batches; the memo map is cleared per call (the
  * memo key space is one batch — recurring syndromes across batches
- * are re-decoded, which keeps the map small and the arena per-run).
+ * are re-decoded unless the process-global memo holds them, which
+ * keeps the map small and the arena per-run).
  */
 struct BatchDecodeScratch
 {
+    /** Shot indices in ascending defect-count order. */
     std::vector<std::uint32_t> perm;
-    std::vector<std::uint32_t> sortedOffsets;
-    std::vector<std::uint32_t> sortedDefects;
-    std::vector<std::uint32_t> predictedSorted;
-    // Memo path: CSR over the batch's distinct syndromes plus the
-    // per-unique decode results and counter deltas to replay.
-    std::vector<std::uint32_t> uniqueOf;
-    std::vector<std::uint32_t> uniqueOffsets;
-    std::vector<std::uint32_t> uniqueDefects;
-    std::vector<std::uint32_t> predictedUnique;
-    std::vector<std::uint64_t> uniqueFallbacks;
-    std::vector<std::uint64_t> uniquePeels;
+    /** Decode row of each sorted position, and each row's first
+     *  shot (its defects and heralds are the row's key). */
+    std::vector<std::uint32_t> rowOf;
+    std::vector<std::uint32_t> rowShot;
+    /** Per-row decode result and the counter deltas to replay. */
+    std::vector<std::uint32_t> rowPredicted;
+    std::vector<std::uint64_t> rowFallbacks;
+    std::vector<std::uint64_t> rowPeels;
+    /** (defects, heralds) hash -> row. */
     std::unordered_map<std::uint64_t, std::uint32_t> memo;
+    /** Herald reweighting: the graph's edge weights with the last
+     *  heralded row's edges (heraldTouched) zeroed, and the content
+     *  hash of the graph they were copied from. */
+    std::vector<double> heraldWeights;
+    std::vector<std::uint32_t> heraldTouched;
+    std::uint64_t heraldGraph = 0;
 };
 
 /**
  * Decode a batch in ascending-defect-count order, optionally
- * memoizing by syndrome content.
+ * memoizing by (defects, fired heralds) content.  This is the one
+ * batch-decode path: the Monte-Carlo engine calls it once per batch,
+ * erasure-aware or not.
  *
  * Shots are stable-sorted by defect count (cheap shots first: warms
  * the decoder's arena scratch and the MWPM reach cache on the easy
  * mass of the distribution) and results are scattered back to shot
- * order, so out[s] is bit-identical to decoding shot s directly —
- * the engine's sorted hot path, now reusable by benches and tests.
+ * order, so out[s] is bit-identical to decoding shot s directly.
  *
- * With memo on, shots whose defect list matches an earlier shot of
- * the same batch replay that shot's correction instead of decoding
- * (hash-keyed, with a full content compare on hit, so a hash
- * collision degrades to a duplicate decode, never a wrong replay).
- * Counter deltas (fallbacks, predecoded pairs) recorded for each
- * distinct syndrome are replayed too — see BatchDecodeStats — so
- * every observable statistic is identical memo on/off.
+ * The sorted shots collapse into decode rows.  With memo on, a row
+ * is one distinct (defects, heralds) key, and shots matching an
+ * earlier shot of the same batch replay that row's correction
+ * instead of decoding (hash-keyed, with a full content compare on
+ * hit, so a hash collision degrades to a duplicate decode, never a
+ * wrong replay).  With memo off, every shot is its own row.  A clean
+ * row decodes through decodeSpan(); a row with fired heralds decodes
+ * through decodeWithContext() under the graph's weights with every
+ * edge those channels can explain zeroed (an erased qubit's Pauli is
+ * uniformly random, so its edges carry no evidence cost).  Counter
+ * deltas (fallbacks, predecoded pairs) recorded for each row are
+ * replayed too — see BatchDecodeStats — so every observable
+ * statistic is identical memo on/off.
  *
- * With @p global non-null (requires memo on), each distinct syndrome
- * is first looked up in the process-global memo under @p setup
- * (tier 1): hits replay the cached correction and counter deltas,
- * misses decode and insert.  Because cached values equal what the
- * decode would have produced, out/tallies stay bit-identical for
- * any global-cache state; only BatchDecodeStats::globalHits varies.
+ * With @p global non-null (requires memo on), each row is first
+ * looked up in the process-global memo under @p setup (tier 1):
+ * hits replay the cached correction and counter deltas, misses
+ * decode and insert.  Because cached values equal what the decode
+ * would have produced, out/tallies stay bit-identical for any
+ * global-cache state; only BatchDecodeStats::globalHits varies.
  *
  * @param out predicted flip mask per shot; size >= batch.shots().
  * @param global process-global memo, or nullptr to skip tier 1.

@@ -17,25 +17,6 @@
 
 namespace traq::decoder {
 
-namespace {
-
-/** Memo key for the erasure path: defects and fired heralds hashed
- *  together (collisions are resolved by a full compare). */
-inline std::uint64_t
-hashShot(std::span<const std::uint32_t> syn,
-         std::span<const std::uint32_t> heralds)
-{
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ syn.size();
-    for (std::uint32_t x : syn)
-        h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    h ^= 0xc2b2ae3d27d4eb4fULL + heralds.size();
-    for (std::uint32_t c : heralds)
-        h ^= c + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    return h;
-}
-
-} // namespace
-
 /** Per-thread state: decoder, sampler, and reusable scratch. */
 struct MonteCarloEngine::Worker
 {
@@ -56,17 +37,9 @@ struct MonteCarloEngine::Worker
     sim::SyndromeBlock block;
     /** Per-shot predicted flip masks for one batch. */
     std::vector<std::uint32_t> predicted;
-    /** Sort + memo scratch for the batch decode path. */
+    /** Sort, memo and herald-reweighting scratch for
+     *  decodeBatchSorted. */
     BatchDecodeScratch scratch;
-    /** Per-edge weights for erasure reweighting (graph weights
-     *  between shots; fired channels' edges zeroed per shot). */
-    std::vector<double> ctxWeights;
-    std::vector<std::uint32_t> ctxTouched;
-    /** Erasure-path memo: shot hash -> first shot index, plus the
-     *  per-shot counter deltas replayed shots must reproduce. */
-    std::unordered_map<std::uint64_t, std::uint32_t> heraldMemo;
-    std::vector<std::uint64_t> shotFallbacks;
-    std::vector<std::uint64_t> shotPeels;
 };
 
 MonteCarloEngine::MonteCarloEngine(const codes::Experiment &exp,
@@ -146,124 +119,35 @@ MonteCarloEngine::runShard(std::uint64_t shard,
                         static_cast<std::size_t>(n) + 1};
         view.defects = {w.block.defects.data(),
                         w.block.offsets[n]};
-
         if (erasureAware) {
-            // Per-shot decode: shots with fired heralds get a
-            // context that zeroes the weight of every edge those
-            // channels can explain; clean shots take the plain path.
-            // With memoization on, shots whose (defects, heralds)
-            // match an earlier shot of the batch replay its result
-            // (and its counter deltas) instead of decoding.
-            if (memoOn_) {
-                w.heraldMemo.clear();
-                w.shotFallbacks.assign(n, 0);
-                w.shotPeels.assign(n, 0);
-            }
-            for (std::uint64_t s = 0; s < n; ++s) {
-                const auto syn = view.syndrome(s);
-                const auto heralds = w.block.heralds(s);
-                if (!heralds.empty())
-                    ++tally.aux3;
-                if (memoOn_) {
-                    auto [it, inserted] = w.heraldMemo.try_emplace(
-                        hashShot(syn, heralds),
-                        static_cast<std::uint32_t>(s));
-                    if (!inserted) {
-                        const std::uint32_t p = it->second;
-                        const auto psyn = view.syndrome(p);
-                        const auto pher = w.block.heralds(p);
-                        if (psyn.size() == syn.size() &&
-                            pher.size() == heralds.size() &&
-                            std::equal(syn.begin(), syn.end(),
-                                       psyn.begin()) &&
-                            std::equal(heralds.begin(),
-                                       heralds.end(),
-                                       pher.begin())) {
-                            w.predicted[s] = w.predicted[p];
-                            w.shotFallbacks[s] = w.shotFallbacks[p];
-                            w.shotPeels[s] = w.shotPeels[p];
-                            replayedFallbacks += w.shotFallbacks[p];
-                            replayedPeels += w.shotPeels[p];
-                            ++tally.aux4;
-                            continue;
-                        }
-                        // Hash collision: decode normally.  The map
-                        // keeps the first claimant, so only the
-                        // colliding syndrome loses its memo slot.
-                    }
-                    // Tier 1: (defects, heralds) decoded by any
-                    // earlier batch/shard/run replays cached result
-                    // and deltas — same values a decode would
-                    // produce, so tallies cannot tell.
-                    if (globalMemo_ != nullptr) {
-                        GlobalDecodeMemo::Value v;
-                        if (globalMemo_->lookup(setupKey_, syn,
-                                                heralds, v)) {
-                            w.predicted[s] = v.predicted;
-                            w.shotFallbacks[s] = v.fallbacks;
-                            w.shotPeels[s] = v.peels;
-                            replayedFallbacks += v.fallbacks;
-                            replayedPeels += v.peels;
-                            ++globalHits;
-                            continue;
-                        }
-                    }
-                }
-                const std::uint64_t fb0 = w.dec->fallbacks();
-                const std::uint64_t pp0 = w.dec->predecodedPairs();
-                if (heralds.empty()) {
-                    w.predicted[s] = w.dec->decodeSpan(syn);
-                } else {
-                    for (std::uint32_t c : heralds)
-                        for (std::uint32_t ei :
-                             graph.channelEdges(c))
-                            if (w.ctxWeights[ei] != 0.0) {
-                                w.ctxTouched.push_back(ei);
-                                w.ctxWeights[ei] = 0.0;
-                            }
-                    DecodeContext ctx;
-                    ctx.weights = w.ctxWeights;
-                    w.predicted[s] =
-                        w.dec->decodeWithContext(syn, ctx);
-                    for (std::uint32_t ei : w.ctxTouched)
-                        w.ctxWeights[ei] = graph.edges()[ei].weight;
-                    w.ctxTouched.clear();
-                }
-                if (memoOn_) {
-                    w.shotFallbacks[s] = w.dec->fallbacks() - fb0;
-                    w.shotPeels[s] =
-                        w.dec->predecodedPairs() - pp0;
-                    if (globalMemo_ != nullptr)
-                        globalMemo_->insert(
-                            setupKey_, syn, heralds,
-                            {w.predicted[s],
-                             static_cast<std::uint32_t>(
-                                 w.shotFallbacks[s]),
-                             static_cast<std::uint32_t>(
-                                 w.shotPeels[s])});
-                }
-            }
-        } else {
-            // Sorted (and, by default, memoized) batch decode: cheap
-            // shots drain first with a warm arena, repeated
-            // syndromes replay from the per-batch memo, and the
-            // predictions are scattered back to shot order — output
-            // bit-identical to in-order decoding either way (see
-            // decodeBatchSorted).
-            const BatchDecodeStats st = decodeBatchSorted(
-                *w.dec, view,
-                {w.predicted.data(), static_cast<std::size_t>(n)},
-                w.scratch, memoOn_, globalMemo_, setupKey_);
-            tally.aux4 += st.memoHits;
-            globalHits += st.globalHits;
-            replayedFallbacks += st.replayedFallbacks;
-            replayedPeels += st.replayedPeels;
-            if (haveHeralds)
-                for (std::uint64_t s = 0; s < n; ++s)
-                    if (w.block.heraldOffsets[s + 1] >
-                        w.block.heraldOffsets[s])
-                        ++tally.aux3;
+            // Heralded shots decode under herald-zeroed weights; an
+            // erasure-blind run leaves the view clean.
+            view.heraldOffsets = {w.block.heraldOffsets.data(),
+                                  static_cast<std::size_t>(n) + 1};
+            view.heraldIds = {w.block.heraldIds.data(),
+                              w.block.heraldOffsets[n]};
+            view.graph = &graph;
         }
+
+        // Sorted (and, by default, memoized) batch decode: cheap
+        // shots drain first with a warm arena, repeated (defects,
+        // heralds) replay from the per-batch memo, and the
+        // predictions are scattered back to shot order — output
+        // bit-identical to in-order decoding either way (see
+        // decodeBatchSorted).
+        const BatchDecodeStats st = decodeBatchSorted(
+            *w.dec, view,
+            {w.predicted.data(), static_cast<std::size_t>(n)},
+            w.scratch, memoOn_, globalMemo_, setupKey_);
+        tally.aux4 += st.memoHits;
+        globalHits += st.globalHits;
+        replayedFallbacks += st.replayedFallbacks;
+        replayedPeels += st.replayedPeels;
+        if (haveHeralds)
+            for (std::uint64_t s = 0; s < n; ++s)
+                if (w.block.heraldOffsets[s + 1] >
+                    w.block.heraldOffsets[s])
+                    ++tally.aux3;
 
         for (std::uint64_t s = 0; s < n; ++s) {
             std::uint32_t diff =
@@ -361,13 +245,6 @@ MonteCarloEngine::run(const McOptions &opts)
         try {
             Worker w(lanes_, dispatch_);
             w.dec = makeDecoder(kind, setup_->graph, decCfg);
-            if (opts_.erasureAware &&
-                circuit_->numHeraldChannels() > 0) {
-                const auto &edges = setup_->graph.edges();
-                w.ctxWeights.reserve(edges.size());
-                for (const auto &e : edges)
-                    w.ctxWeights.push_back(e.weight);
-            }
             std::uint64_t shard;
             while ((shard = nextShard.fetch_add(1)) < numShards) {
                 const std::uint64_t lo = shard * shardUnit_;

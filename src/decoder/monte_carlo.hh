@@ -20,9 +20,13 @@
  * why the hot path is SoA end-to-end: each batch is extracted
  * straight from its lane-major bit planes into a CSR SyndromeBlock
  * (via the runtime-dispatched transpose kernels of sim/frame) and
- * decoded through decodeBatchSorted — ascending defect count, with
- * repeated syndromes replayed from the per-batch memo — so the
- * decoder's arena scratch stays warm across the whole block.
+ * decoded by exactly one decodeBatchSorted call — ascending defect
+ * count, with repeated (defects, fired heralds) replayed from the
+ * per-batch memo — so the decoder's arena scratch stays warm across
+ * the whole block.  Erasure-aware and erasure-blind runs share that
+ * call: an erasure-aware run hands the shots' fired herald channels
+ * in with the batch, and heralded rows decode under herald-zeroed
+ * edge weights.
  */
 
 #ifndef TRAQ_DECODER_MONTE_CARLO_HH

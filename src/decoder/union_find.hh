@@ -19,7 +19,7 @@
  * only if its stamp matches the current decode's epoch, so a decode
  * touches O(syndrome neighborhood) memory instead of re-clearing
  * O(nodes + edges) arrays — the property that makes batch decoding
- * (decodeBatch over a whole sampler block) scale with defect count,
+ * (decodeBatchSorted over a whole sampler block) scale with defect count,
  * not graph size.
  */
 

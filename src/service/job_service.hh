@@ -32,9 +32,6 @@
  * bounded (JobQueueOptions::readyCapacity), and completions can be
  * consumed in completion order (waitCompleted) for streaming
  * output.
- *
- * src/service/job_queue.hh keeps the old spelling (JobQueue) as an
- * alias of this class, so pre-split callers compile unchanged.
  */
 
 #ifndef TRAQ_SERVICE_JOB_SERVICE_HH

@@ -8,33 +8,6 @@
 namespace traq::sim {
 
 void
-extractSyndromes(const FrameBatch &batch,
-                 std::span<const std::uint64_t> liveMask,
-                 std::span<std::vector<std::uint32_t>> out)
-{
-    const unsigned lanes = batch.lanes;
-    TRAQ_REQUIRE(lanes >= 1, "batch has no lanes");
-    TRAQ_REQUIRE(liveMask.size() == lanes,
-                 "liveMask needs one word per lane");
-    TRAQ_REQUIRE(out.size() >= batch.shots(),
-                 "syndrome output must cover the batch");
-    const std::size_t numDet = batch.numDetectors();
-    for (std::size_t d = 0; d < numDet; ++d) {
-        for (unsigned l = 0; l < lanes; ++l) {
-            std::uint64_t word =
-                batch.detectors[d * lanes + l] & liveMask[l];
-            const std::size_t base = 64u * l;
-            while (word) {
-                const int s = std::countr_zero(word);
-                word &= word - 1;
-                out[base + s].push_back(
-                    static_cast<std::uint32_t>(d));
-            }
-        }
-    }
-}
-
-void
 extractSyndromeBlock(const FrameBatch &batch,
                      std::span<const std::uint64_t> liveMask,
                      SyndromeBlock &out)
@@ -82,8 +55,7 @@ extractSyndromeBlockScalar(const FrameBatch &batch,
     out.defects.resize(out.offsets[shots]);
 
     // Fill pass: repeat the walk with per-shot cursors.  Detector
-    // ids ascend with d, so each shot's syndrome comes out sorted —
-    // same order extractSyndromes appends in.
+    // ids ascend with d, so each shot's syndrome comes out sorted.
     out.cursor_.assign(out.offsets.begin(), out.offsets.end() - 1);
     for (std::size_t d = 0; d < numDet; ++d) {
         for (unsigned l = 0; l < lanes; ++l) {

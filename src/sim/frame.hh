@@ -86,22 +86,6 @@ struct FrameBatch
 };
 
 /**
- * Scatter a batch's detector planes into per-shot syndrome lists
- * (appending detector ids in ascending order).  Word-level: zero
- * words — the common case below threshold — are skipped wholesale
- * and set bits are walked with countr_zero.  liveMask holds one word
- * per lane; shots whose mask bit is clear are ignored.  out must
- * cover the batch's 64 * lanes shots (shot l * 64 + s lands in
- * out[l * 64 + s]) and arrive cleared: entries are appended, not
- * reset.  Kept for tests and back-compat callers; the engine hot
- * path uses extractSyndromeBlock below, which produces the same
- * syndromes without the per-shot vector traffic.
- */
-void extractSyndromes(const FrameBatch &batch,
-                      std::span<const std::uint64_t> liveMask,
-                      std::span<std::vector<std::uint32_t>> out);
-
-/**
  * SoA view of one batch's decode inputs: per-shot syndromes in CSR
  * layout plus per-shot actual observable-flip masks.
  *
@@ -109,7 +93,8 @@ void extractSyndromes(const FrameBatch &batch,
  * in ascending order; observables[s] is the shot's logical flip
  * mask (bit k = observable k).  All three arrays are flat and reused
  * across batches, so a warm extraction performs no heap allocation —
- * this is what the decoders' decodeBatch entry point consumes.
+ * this is what decoder::decodeBatchSorted consumes (as a
+ * decoder::SyndromeBatch view).
  */
 struct SyndromeBlock
 {
@@ -159,11 +144,9 @@ struct SyndromeBlock
  * level): detector and herald planes are turned shot-major by a
  * blocked 64x64 bit-matrix transpose and each shot's row words
  * stream straight into the CSR lists.  Masked-out shots (liveMask
- * bit clear) get empty syndromes and zero masks.  Equivalent to
- * extractSyndromes shot for shot and to extractSyndromeBlockScalar
- * bit for bit — locked by tests — with flat reused storage instead
- * of 64 * lanes per-shot vectors: the decode hot path's
- * allocation-free SoA hand-off.
+ * bit clear) get empty syndromes and zero masks.  Bit-identical to
+ * extractSyndromeBlockScalar — locked by tests — with flat reused
+ * storage: the decode hot path's allocation-free SoA hand-off.
  */
 void extractSyndromeBlock(const FrameBatch &batch,
                           std::span<const std::uint64_t> liveMask,
@@ -172,9 +155,9 @@ void extractSyndromeBlock(const FrameBatch &batch,
 /**
  * The pre-dispatch scalar extraction: a counting pass and a fill
  * pass walking only the *set* bits of the planes with countr_zero.
- * Kept as the portable reference the transpose kernels are locked
- * against (and as the better choice for very sparse planes hit once;
- * the engine always goes through extractSyndromeBlock).
+ * Kept as the single reference oracle the transpose kernels are
+ * locked against (and as the better choice for very sparse planes
+ * hit once; the engine always goes through extractSyndromeBlock).
  */
 void extractSyndromeBlockScalar(const FrameBatch &batch,
                                 std::span<const std::uint64_t> liveMask,

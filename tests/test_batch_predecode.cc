@@ -4,8 +4,8 @@
  *
  * The two hot-path additions must be invisible to results:
  *
- *  - Decoder::decodeBatch over a CSR SyndromeBatch must equal
- *    per-shot decode() for every registered decoder kind on
+ *  - decodeBatchSorted (memo off) over a CSR SyndromeBatch must
+ *    equal per-shot decode() for every registered decoder kind on
  *    simulator-sampled syndromes (bit identity, not statistics).
  *  - The predecode fast path (peeling isolated adjacent defect
  *    pairs) must produce corrections identical to predecode-off for
@@ -120,10 +120,12 @@ sampleSyndromes(const codes::Experiment &exp, unsigned lanes,
 
 TEST(BatchDecode, MatchesPerShotForAllRegisteredKinds)
 {
-    // decodeBatch must be bit-identical to per-shot decode() for
-    // every registered decoder on real sampled syndromes.  The batch
-    // decoder is a separate warm instance, so arena-scratch reuse
-    // across shots is exactly what this exercises.
+    // decodeBatchSorted with the memo off decodes every shot, in
+    // ascending defect-count order, and must be bit-identical to
+    // per-shot decode() for every registered decoder on real sampled
+    // syndromes.  The batch decoder is a separate warm instance, so
+    // arena-scratch reuse across shots is exactly what this
+    // exercises.
     codes::SurfaceCode sc(3);
     auto e = codes::buildMemory(sc, 'Z', 3,
                                 codes::NoiseParams::uniform(0.02));
@@ -137,7 +139,8 @@ TEST(BatchDecode, MatchesPerShotForAllRegisteredKinds)
         auto batchDec = makeDecoder(kind, graph);
         auto shotDec = makeDecoder(kind, graph);
         std::vector<std::uint32_t> got(syn.shots());
-        batchDec->decodeBatch(syn.view(), got);
+        BatchDecodeScratch scratch;
+        decodeBatchSorted(*batchDec, syn.view(), got, scratch, false);
         for (std::uint64_t s = 0; s < syn.shots(); ++s)
             ASSERT_EQ(got[s], shotDec->decode(syn.syndrome(s)))
                 << decoderKindName(kind) << " shot " << s;

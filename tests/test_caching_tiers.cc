@@ -11,7 +11,7 @@
  *    env loudness, hit accounting, engine results bit-identical
  *    cache on/off;
  *  - tier 3, the persistent content-addressed store (CaStore +
- *    JobQueue cache file): round-trip and reopen, loud TRAQ_FATAL-
+ *    JobService cache file): round-trip and reopen, loud TRAQ_FATAL-
  *    free recovery from truncated and corrupted files, loud failure
  *    on an unopenable path, and a restarted queue serving the same
  *    bytes from the persistent tier alone.
@@ -39,7 +39,7 @@
 #include "src/decoder/global_memo.hh"
 #include "src/decoder/monte_carlo.hh"
 #include "src/estimator/estimator.hh"
-#include "src/service/job_queue.hh"
+#include "src/service/job_service.hh"
 #include "src/sim/frame.hh"
 
 namespace {
@@ -151,7 +151,7 @@ TEST(CacheFileEnv, ResolutionAndLoudness)
     service::JobQueueOptions opts;
     opts.cache = false;
     opts.cacheFile = "/tmp/whatever.cas";
-    EXPECT_THROW(service::JobQueue{opts}, FatalError);
+    EXPECT_THROW(service::JobService{opts}, FatalError);
 }
 
 TEST(GlobalMemo, LookupServesExactContentOnly)
@@ -521,8 +521,8 @@ TEST(JobQueue, PersistentRestartServesIdenticalBytes)
         service::JobQueueOptions o;
         o.threads = 2;
         o.cacheFile = file.path();
-        service::JobQueue q(o);
-        std::vector<service::JobQueue::JobId> ids;
+        service::JobService q(o);
+        std::vector<service::JobService::JobId> ids;
         for (const auto &r : reqs)
             ids.push_back(q.submit(r));
         for (auto id : ids)
@@ -541,8 +541,8 @@ TEST(JobQueue, PersistentRestartServesIdenticalBytes)
         service::JobQueueOptions o;
         o.threads = 2;
         o.cacheFile = file.path();
-        service::JobQueue q(o);
-        std::vector<service::JobQueue::JobId> ids;
+        service::JobService q(o);
+        std::vector<service::JobService::JobId> ids;
         for (const auto &r : reqs)
             ids.push_back(q.submit(r));
         for (std::size_t i = 0; i < ids.size(); ++i)

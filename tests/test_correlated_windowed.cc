@@ -141,16 +141,15 @@ countMismatches(const codes::Experiment &e, const DecodeGraph &g,
 {
     sim::FrameSimulator fs(seed);
     sim::FrameBatch batch;
+    sim::SyndromeBlock block;
     const std::uint64_t live = ~0ULL;
-    std::vector<std::vector<std::uint32_t>> syn(64);
     int mismatches = 0, done = 0;
     while (done < shots) {
         fs.sampleInto(e.circuit, batch);
-        for (auto &s : syn)
-            s.clear();
-        sim::extractSyndromes(batch, {&live, 1}, syn);
+        sim::extractSyndromeBlock(batch, {&live, 1}, block);
         for (int s = 0; s < 64 && done < shots; ++s, ++done)
-            mismatches += a.decode(syn[s]) != b.decode(syn[s]);
+            mismatches += a.decodeSpan(block.syndrome(s)) !=
+                          b.decodeSpan(block.syndrome(s));
     }
     return mismatches;
 }

@@ -9,7 +9,8 @@
  * *when* work happens, never what comes out.  These tests lock that
  * in — sampler planes across dispatch levels, CSR blocks against the
  * scalar reference extractor, decodeBatchSorted against per-shot
- * decoding for every registered kind, and engine results across memo
+ * decoding for every registered kind on clean and heralded batches,
+ * and engine results across memo
  * / cache / dispatch / thread-count settings — plus the loud-failure
  * contract of the TRAQ_CPU_DISPATCH / TRAQ_DECODE_MEMO /
  * TRAQ_REACH_CACHE environment variables.
@@ -25,6 +26,7 @@
 #include "src/codes/experiments.hh"
 #include "src/common/assert.hh"
 #include "src/common/word.hh"
+#include "src/decoder/compile_cache.hh"
 #include "src/decoder/decoder.hh"
 #include "src/decoder/monte_carlo.hh"
 #include "src/noise/noise.hh"
@@ -298,24 +300,33 @@ TEST(ReachCacheEnv, TriStateAndLoudness)
 }
 
 /** d=3 memory syndromes packed into CSR, capped at `maxDefects` so
- *  even the bare MWPM kind accepts every row. */
+ *  even the bare MWPM kind accepts every row.  With `lossP` > 0 the
+ *  circuit carries atom loss, and each shot's fired herald channels
+ *  are packed alongside. */
 struct SampledBatch
 {
     std::vector<std::uint32_t> offsets{0};
     std::vector<std::uint32_t> defects;
+    std::vector<std::uint32_t> heraldOffsets{0};
+    std::vector<std::uint32_t> heraldIds;
 
-    explicit SampledBatch(std::size_t maxDefects)
+    explicit SampledBatch(std::size_t maxDefects, double lossP = 0.0)
     {
         codes::SurfaceCode sc(3);
         exp = std::make_unique<codes::Experiment>(codes::buildMemory(
             sc, 'Z', 3, codes::NoiseParams::uniform(0.004)));
-        const auto &e = *exp;
+        noise::NoiseSpec spec;
+        if (lossP > 0.0)
+            spec.setFlat("noise.atom-loss.p", lossP);
+        setup = decoder::compileDecodeSetup(*exp, spec, false);
+        const sim::Circuit &circuit =
+            setup->compiled ? *setup->compiled : exp->circuit;
         sim::FrameSimulator fs(21, 8, CpuDispatch::Baseline);
         sim::FrameBatch batch;
         sim::SyndromeBlock block;
         const std::vector<std::uint64_t> live(8, ~0ULL);
         for (int rep = 0; rep < 2; ++rep) {
-            fs.sampleInto(e.circuit, batch);
+            fs.sampleInto(circuit, batch);
             sim::extractSyndromeBlock(batch, live, block);
             for (std::uint64_t s = 0; s < block.shots(); ++s) {
                 const auto syn = block.syndrome(s);
@@ -325,68 +336,108 @@ struct SampledBatch
                                syn.end());
                 offsets.push_back(static_cast<std::uint32_t>(
                     defects.size()));
+                const auto her = block.heralds(s);
+                heraldIds.insert(heraldIds.end(), her.begin(),
+                                 her.end());
+                heraldOffsets.push_back(static_cast<std::uint32_t>(
+                    heraldIds.size()));
             }
         }
-        graph = std::make_unique<decoder::DecodeGraph>(
-            decoder::DecodeGraph::build(e));
     }
 
+    const decoder::DecodeGraph &graph() const { return setup->graph; }
+
+    /** Batch view; heralded when the fixture carries atom loss. */
     decoder::SyndromeBatch view() const
     {
         decoder::SyndromeBatch b;
         b.offsets = offsets;
         b.defects = defects;
+        if (!heraldIds.empty()) {
+            b.heraldOffsets = heraldOffsets;
+            b.heraldIds = heraldIds;
+            b.graph = &setup->graph;
+        }
         return b;
     }
     std::uint64_t shots() const { return offsets.size() - 1; }
 
     std::unique_ptr<codes::Experiment> exp;
-    std::unique_ptr<decoder::DecodeGraph> graph;
+    std::shared_ptr<const decoder::CompiledDecodeSetup> setup;
 };
 
 TEST(DecodeBatchSorted, MemoOnOffBitIdenticalForAllKinds)
 {
-    const SampledBatch fixture(12);
-    const auto view = fixture.view();
-    const std::uint64_t n = fixture.shots();
-    ASSERT_GT(n, 128u);
-
-    for (decoder::DecoderKind kind :
-         decoder::registeredDecoderKinds()) {
-        decoder::DecoderConfig cfg;
-        cfg.predecode = 1;  // exercise peel-counter replay too
-        auto decPlain =
-            decoder::makeDecoder(kind, *fixture.graph, cfg);
-        auto decOff =
-            decoder::makeDecoder(kind, *fixture.graph, cfg);
-        auto decOn =
-            decoder::makeDecoder(kind, *fixture.graph, cfg);
-        const char *name = decoder::decoderKindName(kind);
-
-        // Reference: straight per-shot decoding in shot order.
-        std::vector<std::uint32_t> ref(n);
+    // A clean d=3 memory batch and the same circuit with atom loss,
+    // whose heralded shots must decode under herald-zeroed weights.
+    for (double lossP : {0.0, 0.01}) {
+        const SampledBatch fixture(12, lossP);
+        const auto view = fixture.view();
+        const decoder::DecodeGraph &g = fixture.graph();
+        const std::uint64_t n = fixture.shots();
+        ASSERT_GT(n, 128u);
+        std::uint64_t heralded = 0;
         for (std::uint64_t s = 0; s < n; ++s)
-            ref[s] = decPlain->decodeSpan(view.syndrome(s));
+            heralded += !view.heralds(s).empty();
+        if (lossP > 0.0)
+            ASSERT_GT(heralded, 0u);
 
-        decoder::BatchDecodeScratch scratch;
-        std::vector<std::uint32_t> outOff(n), outOn(n);
-        const auto stOff = decoder::decodeBatchSorted(
-            *decOff, view, outOff, scratch, false);
-        const auto stOn = decoder::decodeBatchSorted(
-            *decOn, view, outOn, scratch, true);
+        for (decoder::DecoderKind kind :
+             decoder::registeredDecoderKinds()) {
+            decoder::DecoderConfig cfg;
+            cfg.predecode = 1;  // exercise peel-counter replay too
+            auto decPlain = decoder::makeDecoder(kind, g, cfg);
+            auto decOff = decoder::makeDecoder(kind, g, cfg);
+            auto decOn = decoder::makeDecoder(kind, g, cfg);
+            const std::string name =
+                std::string(decoder::decoderKindName(kind)) +
+                " loss " + std::to_string(lossP);
 
-        EXPECT_EQ(outOff, ref) << name;
-        EXPECT_EQ(outOn, ref) << name;
-        EXPECT_EQ(stOff.memoHits, 0u) << name;
-        EXPECT_GT(stOn.memoHits, 0u) << name;
-        // Counter-delta replay: decoder counters + replayed deltas
-        // agree with the non-memo decode exactly.
-        EXPECT_EQ(decOn->fallbacks() + stOn.replayedFallbacks,
-                  decOff->fallbacks())
-            << name;
-        EXPECT_EQ(decOn->predecodedPairs() + stOn.replayedPeels,
-                  decOff->predecodedPairs())
-            << name;
+            // Reference: straight per-shot decoding in shot order;
+            // a heralded shot zeroes the weight of every edge its
+            // fired channels can explain.
+            std::vector<double> weights;
+            for (const auto &e : g.edges())
+                weights.push_back(e.weight);
+            std::vector<std::uint32_t> ref(n);
+            for (std::uint64_t s = 0; s < n; ++s) {
+                const auto heralds = view.heralds(s);
+                decoder::DecodeContext ctx;
+                for (std::uint32_t c : heralds)
+                    for (std::uint32_t ei : g.channelEdges(c))
+                        weights[ei] = 0.0;
+                if (!heralds.empty())
+                    ctx.weights = weights;
+                ref[s] = decPlain->decodeWithContext(view.syndrome(s),
+                                                     ctx);
+                for (std::uint32_t c : heralds)
+                    for (std::uint32_t ei : g.channelEdges(c))
+                        weights[ei] = g.edges()[ei].weight;
+            }
+
+            decoder::BatchDecodeScratch scratch;
+            std::vector<std::uint32_t> outOff(n), outOn(n);
+            const auto stOff = decoder::decodeBatchSorted(
+                *decOff, view, outOff, scratch, false);
+            const auto stOn = decoder::decodeBatchSorted(
+                *decOn, view, outOn, scratch, true);
+
+            EXPECT_EQ(outOff, ref) << name;
+            EXPECT_EQ(outOn, ref) << name;
+            EXPECT_EQ(stOff.memoHits, 0u) << name;
+            EXPECT_GT(stOn.memoHits, 0u) << name;
+            // Counter-delta replay: decoder counters + replayed
+            // deltas agree with the non-memo decode exactly, and the
+            // non-memo decode with the per-shot reference.
+            EXPECT_EQ(decOff->fallbacks(), decPlain->fallbacks())
+                << name;
+            EXPECT_EQ(decOn->fallbacks() + stOn.replayedFallbacks,
+                      decOff->fallbacks())
+                << name;
+            EXPECT_EQ(decOn->predecodedPairs() + stOn.replayedPeels,
+                      decOff->predecodedPairs())
+                << name;
+        }
     }
 }
 
@@ -401,9 +452,9 @@ TEST(ReachCache, OnOffBitIdenticalForAllKinds)
         decoder::DecoderConfig on, off;
         on.reachCache = 1;
         off.reachCache = 0;
-        auto decOn = decoder::makeDecoder(kind, *fixture.graph, on);
+        auto decOn = decoder::makeDecoder(kind, fixture.graph(), on);
         auto decOff =
-            decoder::makeDecoder(kind, *fixture.graph, off);
+            decoder::makeDecoder(kind, fixture.graph(), off);
         for (std::uint64_t s = 0; s < n; ++s)
             EXPECT_EQ(decOn->decodeSpan(view.syndrome(s)),
                       decOff->decodeSpan(view.syndrome(s)))

@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "src/codes/experiments.hh"
+#include "src/common/word.hh"
 #include "src/decoder/monte_carlo.hh"
 
 namespace traq::decoder {
@@ -145,6 +149,107 @@ TEST(MonteCarlo, MwpmFallbackCounted)
     opts.mwpmMaxDefects = 2;   // force frequent fallback
     auto res = runMonteCarlo(e, opts);
     EXPECT_GT(res.mwpmFallbacks, 0u);
+}
+
+/** FNV-1a (64-bit) over a stream of 64-bit words, byte by byte. */
+struct Fnv1a
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    void add(std::uint64_t x)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (x >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+};
+
+/** Digest of every deterministic McResult count. */
+std::uint64_t
+countsDigest(const McResult &r)
+{
+    Fnv1a h;
+    h.add(r.shots);
+    h.add(r.anyObservable.hits);
+    for (const auto &p : r.perObservable)
+        h.add(p.hits);
+    h.add(r.mwpmFallbacks);
+    h.add(r.predecodedPairs);
+    h.add(r.heraldedShots);
+    h.add(r.memoHits);
+    h.add(std::bit_cast<std::uint64_t>(r.avgDefects));
+    return h.h;
+}
+
+/**
+ * Bit-identity lock for the engine's decode path on atom-loss runs:
+ * d=3/5 memory and a d=3 transversal CNOT, decoded erasure-aware and
+ * erasure-blind, memo on and off, at 1 and 4 threads.  The expected
+ * digests were computed with the engine that decoded heralded shots
+ * one by one outside decodeBatchSorted; any change to a correction
+ * or a count moves them.  The one-lane sampler keeps the stream
+ * independent of the word backend a build or TRAQ_WORD_BACKEND picks.
+ */
+TEST(MonteCarlo, LossRunCountsPinned)
+{
+    codes::TransversalCnotSpec cnot;
+    cnot.distance = 3;
+    cnot.cnotLayers = 2;
+    cnot.noise = NoiseParams::uniform(2e-3);
+    SurfaceCode sc3(3), sc5(5);
+    const struct
+    {
+        const char *name;
+        codes::Experiment exp;
+        std::uint64_t shots;
+        double lossP;
+        // Digests indexed [erasureAware][decodeMemo], computed with
+        // the per-shot erasure path.
+        std::uint64_t pins[2][2];
+    } cases[] = {
+        {"memory d=3",
+         codes::buildMemory(sc3, 'Z', 3, NoiseParams::uniform(2e-3)),
+         8192, 5e-3,
+         {{0xef42709e2769887aULL, 0x3da954c624573f50ULL},
+          {0x0c717f2824f7d450ULL, 0x35751d45efcc9d19ULL}}},
+        {"memory d=5",
+         codes::buildMemory(sc5, 'Z', 5, NoiseParams::uniform(5e-4)),
+         4096, 2e-3,
+         {{0x1d44f06ade80414fULL, 0xa220fcdd8e33ff7eULL},
+          {0x10bacf5058f5755bULL, 0x66de0b641a708518ULL}}},
+        {"cnot d=3", codes::buildTransversalCnot(cnot), 8192, 5e-3,
+         {{0x2113e19dcbe59720ULL, 0x201913c302f99da1ULL},
+          {0x7a3dc5bce6f70adeULL, 0x893c95a6cd97c20cULL}}},
+    };
+    for (const auto &c : cases) {
+        McOptions opts;
+        opts.shots = c.shots;
+        opts.seed = 0x1055;
+        opts.decoder = DecoderKind::Fallback;
+        opts.predecode = 1;
+        opts.wordBackend = WordBackend::Scalar64;
+        opts.shardShots = 256;
+        opts.noiseSpec.setFlat("noise.atom-loss.p", c.lossP);
+        MonteCarloEngine engine(c.exp, opts);
+        for (int aware : {1, 0}) {
+            for (int memo : {1, 0}) {
+                for (unsigned threads : {1u, 4u}) {
+                    auto o = opts;
+                    o.erasureAware = aware != 0;
+                    o.decodeMemo = memo;
+                    o.threads = threads;
+                    const McResult r = engine.run(o);
+                    EXPECT_GT(r.heraldedShots, 0u) << c.name;
+                    EXPECT_EQ(r.memoHits > 0, memo != 0) << c.name;
+                    EXPECT_EQ(countsDigest(r), c.pins[aware][memo])
+                        << c.name << " erasureAware=" << aware
+                        << " memo=" << memo << " threads=" << threads
+                        << " digest 0x" << std::hex
+                        << countsDigest(r);
+                }
+            }
+        }
+    }
 }
 
 } // namespace

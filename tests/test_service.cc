@@ -3,7 +3,7 @@
  * Tests for the service front-end stack: the common/json parser
  * (loud FatalError diagnostics on every malformed input), the
  * est::requestFromJson / resultFromJson inverses and the shared
- * non-finite policy, and the JobQueue (submission-order indexing,
+ * non-finite policy, and the JobService (submission-order indexing,
  * thread-count byte-identity, canonicalKey cache accounting,
  * per-job error capture).
  */
@@ -19,7 +19,7 @@
 #include "src/common/json.hh"
 #include "src/common/serialize.hh"
 #include "src/estimator/estimator.hh"
-#include "src/service/job_queue.hh"
+#include "src/service/job_service.hh"
 
 namespace traq {
 namespace {
@@ -294,11 +294,11 @@ serveAll(const std::vector<est::EstimateRequest> &reqs,
     service::JobQueueOptions opts;
     opts.threads = threads;
     opts.cache = cache;
-    service::JobQueue queue(opts);
-    const std::vector<service::JobQueue::JobId> ids =
+    service::JobService queue(opts);
+    const std::vector<service::JobService::JobId> ids =
         queue.submitBatch(reqs);
     std::string out;
-    for (const service::JobQueue::JobId id : ids) {
+    for (const service::JobService::JobId id : ids) {
         out += queue.wait(id).toJson();
         out += '\n';
     }
@@ -307,7 +307,7 @@ serveAll(const std::vector<est::EstimateRequest> &reqs,
 
 TEST(JobQueue, SubmissionOrderIdsAndResults)
 {
-    service::JobQueue queue;
+    service::JobService queue;
     const auto ids = queue.submitBatch(mixedRequests());
     ASSERT_EQ(ids.size(), 8u);
     for (std::size_t i = 0; i < ids.size(); ++i)
@@ -336,7 +336,7 @@ TEST(JobQueue, CacheHitAccountingIsDeterministic)
     for (unsigned threads : {1u, 4u}) {
         service::JobQueueOptions opts;
         opts.threads = threads;
-        service::JobQueue queue(opts);
+        service::JobService queue(opts);
         queue.submitBatch(reqs);
         queue.drain();
         const service::JobQueueStats stats = queue.stats();
@@ -352,7 +352,7 @@ TEST(JobQueue, CacheOffEvaluatesEverything)
 {
     service::JobQueueOptions opts;
     opts.cache = false;
-    service::JobQueue queue(opts);
+    service::JobService queue(opts);
     queue.submitBatch(mixedRequests());
     queue.drain();
     const service::JobQueueStats stats = queue.stats();
@@ -364,7 +364,7 @@ TEST(JobQueue, CacheOffEvaluatesEverything)
 
 TEST(JobQueue, ErrorsAreCapturedPerJobNotThrown)
 {
-    service::JobQueue queue;
+    service::JobService queue;
     const auto unknownKind =
         queue.submit({"no-such-kind", {}});
     const auto unknownParam =
@@ -390,7 +390,7 @@ TEST(JobQueue, ErrorsAreCapturedPerJobNotThrown)
 
 TEST(JobQueue, FailuresAreCachedLikeResults)
 {
-    service::JobQueue queue;
+    service::JobService queue;
     const auto first = queue.submit({"no-such-kind", {}});
     queue.wait(first);
     const auto second = queue.submit({"no-such-kind", {}});
@@ -404,7 +404,7 @@ TEST(JobQueue, FailuresAreCachedLikeResults)
 
 TEST(JobQueue, WaitRejectsUnknownIds)
 {
-    service::JobQueue queue;
+    service::JobService queue;
     EXPECT_THROW(queue.wait(0), FatalError);
 }
 
@@ -416,7 +416,7 @@ TEST(JobQueue, NonFiniteParamsServeThroughJsonUnharmed)
                              {{"weird", kInf}, {"odd", -kInf}}};
     const est::EstimateRequest parsed =
         est::requestFromJson(est::toJson(req));
-    service::JobQueue queue;
+    service::JobService queue;
     const auto a = queue.submit(req);
     const auto b = queue.submit(parsed);
     queue.drain();

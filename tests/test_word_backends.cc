@@ -4,8 +4,9 @@
  * stack: the scalar (1-lane), wide (kWideWordLanes), and wide512
  * (kWide512WordLanes) backends must agree exactly on deterministic
  * circuits, statistically on noisy ones, and each backend must stay
- * bit-identical across thread counts.  Also covers extractSyndromes
- * and extractSyndromeBlock for non-64 widths and partial live masks,
+ * bit-identical across thread counts.  Also covers extractSyndromeBlock
+ * against the extractSyndromeBlockScalar reference for non-64 widths
+ * and partial live masks,
  * TRAQ_WORD_BACKEND resolution (including the loud-failure contract
  * on unknown values), and the noise-fusion path.
  */
@@ -15,8 +16,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/codes/experiments.hh"
 #include "src/common/assert.hh"
@@ -217,6 +220,34 @@ TEST(WordBackends, EnvResolutionParsesKnownNamesAndFailsLoudly)
     EXPECT_TRUE(cg == "avx512f" || cg == "avx2" || cg == "baseline");
 }
 
+/** Shot s's defects as a vector (for readable expectations). */
+std::vector<std::uint32_t>
+defectsOf(const SyndromeBlock &blk, std::uint64_t s)
+{
+    const auto syn = blk.syndrome(s);
+    return {syn.begin(), syn.end()};
+}
+
+/**
+ * Extract with the production kernel and with the scalar reference
+ * oracle, require the two blocks to agree field for field, and
+ * return the production block.
+ */
+SyndromeBlock
+extractChecked(const FrameBatch &b, std::span<const std::uint64_t> live)
+{
+    SyndromeBlock blk, ref;
+    extractSyndromeBlock(b, live, blk);
+    extractSyndromeBlockScalar(b, live, ref);
+    EXPECT_EQ(blk.lanes, ref.lanes);
+    EXPECT_EQ(blk.offsets, ref.offsets);
+    EXPECT_EQ(blk.defects, ref.defects);
+    EXPECT_EQ(blk.observables, ref.observables);
+    EXPECT_EQ(blk.heraldOffsets, ref.heraldOffsets);
+    EXPECT_EQ(blk.heraldIds, ref.heraldIds);
+    return blk;
+}
+
 TEST(WordBackends, ExtractSyndromesRoundTripsNon64Widths)
 {
     // Hand-built batch over 2 lanes (128 shots), 3 detectors.
@@ -233,39 +264,34 @@ TEST(WordBackends, ExtractSyndromesRoundTripsNon64Widths)
     ASSERT_EQ(b.numDetectors(), 3u);
 
     const std::vector<std::uint64_t> full{~0ULL, ~0ULL};
-    std::vector<std::vector<std::uint32_t>> out(b.shots());
-    extractSyndromes(b, full, out);
-    EXPECT_EQ(out[0], (std::vector<std::uint32_t>{0}));
-    EXPECT_EQ(out[3], (std::vector<std::uint32_t>{1}));
-    EXPECT_EQ(out[64], (std::vector<std::uint32_t>{0, 2}));
-    EXPECT_EQ(out[127], (std::vector<std::uint32_t>{1, 2}));
-    EXPECT_TRUE(out[1].empty());
-    std::size_t total = 0;
-    for (const auto &s : out)
-        total += s.size();
-    EXPECT_EQ(total, 2u + 2u + 64u);
+    const SyndromeBlock out = extractChecked(b, full);
+    ASSERT_EQ(out.offsets.size(), b.shots() + 1);
+    EXPECT_EQ(defectsOf(out, 0), (std::vector<std::uint32_t>{0}));
+    EXPECT_EQ(defectsOf(out, 3), (std::vector<std::uint32_t>{1}));
+    EXPECT_EQ(defectsOf(out, 64), (std::vector<std::uint32_t>{0, 2}));
+    EXPECT_EQ(defectsOf(out, 127),
+              (std::vector<std::uint32_t>{1, 2}));
+    EXPECT_TRUE(out.syndrome(1).empty());
+    EXPECT_EQ(out.defects.size(), 2u + 2u + 64u);
 
     // Partial live mask: only shots 0..2 of lane 0 and 64..66 of
     // lane 1 are live; everything else must be dropped.
     const std::vector<std::uint64_t> partial{7ULL, 7ULL};
-    std::vector<std::vector<std::uint32_t>> masked(b.shots());
-    extractSyndromes(b, partial, masked);
-    EXPECT_EQ(masked[0], (std::vector<std::uint32_t>{0}));
-    EXPECT_TRUE(masked[3].empty());  // shot 3 masked out
-    EXPECT_EQ(masked[64], (std::vector<std::uint32_t>{0, 2}));
-    EXPECT_EQ(masked[65], (std::vector<std::uint32_t>{2}));
-    EXPECT_TRUE(masked[127].empty());
-    total = 0;
-    for (const auto &s : masked)
-        total += s.size();
-    EXPECT_EQ(total, 1u + 1u + 3u);
+    const SyndromeBlock masked = extractChecked(b, partial);
+    EXPECT_EQ(defectsOf(masked, 0), (std::vector<std::uint32_t>{0}));
+    EXPECT_TRUE(masked.syndrome(3).empty());  // shot 3 masked out
+    EXPECT_EQ(defectsOf(masked, 64),
+              (std::vector<std::uint32_t>{0, 2}));
+    EXPECT_EQ(defectsOf(masked, 65), (std::vector<std::uint32_t>{2}));
+    EXPECT_TRUE(masked.syndrome(127).empty());
+    EXPECT_EQ(masked.defects.size(), 1u + 1u + 3u);
 }
 
 TEST(WordBackends, ExtractSyndromeBlockMatchesPerShotExtraction)
 {
     // Same hand-built 2-lane batch as above, plus observable planes;
-    // the CSR block must match extractSyndromes shot for shot and
-    // scatter the observable masks correctly.
+    // the CSR block must match the scalar reference and scatter the
+    // observable masks correctly.
     FrameBatch b;
     b.lanes = 2;
     b.detectors = {
@@ -279,21 +305,11 @@ TEST(WordBackends, ExtractSyndromeBlockMatchesPerShotExtraction)
     };
 
     const std::vector<std::uint64_t> full{~0ULL, ~0ULL};
-    SyndromeBlock blk;
-    extractSyndromeBlock(b, full, blk);
+    SyndromeBlock blk = extractChecked(b, full);
     ASSERT_EQ(blk.lanes, 2u);
     ASSERT_EQ(blk.offsets.size(), b.shots() + 1);
     ASSERT_EQ(blk.observables.size(), b.shots());
-
-    std::vector<std::vector<std::uint32_t>> ref(b.shots());
-    extractSyndromes(b, full, ref);
-    for (std::uint64_t s = 0; s < b.shots(); ++s) {
-        const auto syn = blk.syndrome(s);
-        ASSERT_EQ(std::vector<std::uint32_t>(syn.begin(),
-                                             syn.end()),
-                  ref[s])
-            << "shot " << s;
-    }
+    EXPECT_EQ(defectsOf(blk, 64), (std::vector<std::uint32_t>{0, 2}));
     EXPECT_EQ(blk.observables[0], 0u);
     EXPECT_EQ(blk.observables[1], 1u);  // obs0
     EXPECT_EQ(blk.observables[63], 2u); // obs1
@@ -302,21 +318,14 @@ TEST(WordBackends, ExtractSyndromeBlockMatchesPerShotExtraction)
 
     // Partial live mask: dead shots come out empty with zero masks.
     const std::vector<std::uint64_t> partial{7ULL, 7ULL};
-    extractSyndromeBlock(b, partial, blk);
-    std::vector<std::vector<std::uint32_t>> maskedRef(b.shots());
-    extractSyndromes(b, partial, maskedRef);
-    for (std::uint64_t s = 0; s < b.shots(); ++s) {
-        const auto syn = blk.syndrome(s);
-        ASSERT_EQ(std::vector<std::uint32_t>(syn.begin(),
-                                             syn.end()),
-                  maskedRef[s])
-            << "shot " << s;
-    }
+    blk = extractChecked(b, partial);
+    EXPECT_TRUE(blk.syndrome(3).empty());
+    EXPECT_EQ(defectsOf(blk, 65), (std::vector<std::uint32_t>{2}));
     EXPECT_EQ(blk.observables[63], 0u); // masked out
     EXPECT_EQ(blk.observables[64], 2u); // still live
 
-    // Simulator-sampled batch: the block and the per-shot extraction
-    // must agree on real noisy data across every backend width.
+    // Simulator-sampled batch: the block and the reference must agree
+    // on real noisy data across every backend width.
     codes::SurfaceCode sc(3);
     auto e = codes::buildMemory(sc, 'Z', 3,
                                 codes::NoiseParams::uniform(0.05));
@@ -324,20 +333,8 @@ TEST(WordBackends, ExtractSyndromeBlockMatchesPerShotExtraction)
         FrameSimulator sim(31337, lanes);
         FrameBatch nb = sim.sample(e.circuit);
         const std::vector<std::uint64_t> live(lanes, ~0ULL);
-        SyndromeBlock nblk;
-        extractSyndromeBlock(nb, live, nblk);
-        std::vector<std::vector<std::uint32_t>> nref(nb.shots());
-        extractSyndromes(nb, live, nref);
-        std::uint64_t defects = 0;
-        for (std::uint64_t s = 0; s < nb.shots(); ++s) {
-            const auto syn = nblk.syndrome(s);
-            ASSERT_EQ(std::vector<std::uint32_t>(syn.begin(),
-                                                 syn.end()),
-                      nref[s])
-                << "lanes " << lanes << " shot " << s;
-            defects += syn.size();
-        }
-        EXPECT_GT(defects, 0u) << "lanes " << lanes;
+        const SyndromeBlock nblk = extractChecked(nb, live);
+        EXPECT_GT(nblk.defects.size(), 0u) << "lanes " << lanes;
     }
 }
 
