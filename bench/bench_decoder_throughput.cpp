@@ -197,9 +197,8 @@ main()
                 "p = 1e-3 ===\n\n");
     // Dispatch level the sampler kernels run at while pre-sampling
     // the fixtures (decoders themselves are scalar code).
-    std::printf("cpu-dispatch: %s (compiled %s)\n\n",
-                cpuDispatchName(resolveCpuDispatch(CpuDispatch::Auto)),
-                wordBackendCompiled());
+    std::printf("cpu-dispatch: %s\n\n",
+                cpuDispatchName(resolveCpuDispatch(CpuDispatch::Auto)));
 
     std::vector<Fixture> fixtures;
     fixtures.emplace_back("memory d=3", Fixture::makeMemory(3), 512);

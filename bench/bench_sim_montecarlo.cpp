@@ -12,7 +12,7 @@
  * elevation of the per-round error with CNOT density at fixed d.
  *
  * Also benchmarks the frame-sampler word backends (portable 64-bit
- * vs 4-lane and 8-lane wide bit-planes, common/word.hh), the full
+ * vs 8-lane wide512 bit-planes, common/word.hh), the full
  * sample->extract->decode hot path (the previous generation of that
  * pipeline — baseline codegen, scalar extraction, no memo — vs the
  * current full stack of runtime CPU dispatch, transpose extraction,
@@ -209,15 +209,12 @@ main()
                 "(1 + alpha x); total error still drops with x "
                 "below threshold)\n");
 
-    // The level the kernels actually run at (cpuid / env), next to
-    // the flags the rest of the library was compiled with.
-    std::printf("\ncpu-dispatch: %s (compiled %s)\n",
-                cpuDispatchName(resolveCpuDispatch(CpuDispatch::Auto)),
-                wordBackendCompiled());
+    // The level the kernels actually run at (cpuid / env).
+    std::printf("\ncpu-dispatch: %s\n",
+                cpuDispatchName(resolveCpuDispatch(CpuDispatch::Auto)));
 
     std::printf("\n=== Sampler word backends: d=5 memory, "
-                "sample+extract (no decode), compiled=%s ===\n\n",
-                wordBackendCompiled());
+                "sample+extract (no decode) ===\n\n");
     {
         codes::SurfaceCode sc5(5);
         auto e5 = codes::buildMemory(
@@ -227,11 +224,6 @@ main()
         const double scalarRate = samplerShotsPerSec(e5, 1, shots);
         b.addRow({wordBackendName(WordBackend::Scalar64), "1",
                   fmtE(scalarRate, 2), "1.00x"});
-        const double wideRate =
-            samplerShotsPerSec(e5, kWideWordLanes, shots);
-        b.addRow({wordBackendName(WordBackend::Wide),
-                  std::to_string(kWideWordLanes), fmtE(wideRate, 2),
-                  fmtF(wideRate / scalarRate, 2) + "x"});
         const double wide512Rate =
             samplerShotsPerSec(e5, kWide512WordLanes, shots);
         b.addRow({wordBackendName(WordBackend::Wide512),
@@ -239,10 +231,8 @@ main()
                   fmtE(wide512Rate, 2),
                   fmtF(wide512Rate / scalarRate, 2) + "x"});
         b.print();
-        std::printf("\nwide-vs-scalar64 sampler speedup: %.2fx "
-                    "(target >= 2x)\n", wideRate / scalarRate);
-        std::printf("wide512-vs-scalar64 sampler speedup: %.2fx\n",
-                    wide512Rate / scalarRate);
+        std::printf("\nwide512-vs-scalar64 sampler speedup: %.2fx "
+                    "(target >= 2x)\n", wide512Rate / scalarRate);
     }
 
     std::printf("\n=== Hot path: sample + extract + decode, previous "

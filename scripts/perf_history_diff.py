@@ -87,6 +87,8 @@ KNOWN_KEYS = {
     "margin",
     "parallel_efficiency_at_4",
     "cpu_dispatch",
+    # Only in records from builds that still had compile-time codegen
+    # options; kept so diffs against them stay clean.
     "word_backend_compiled",
     "hotpath_speedup_vs_pr7",
     "decode_memo_hit_rate",

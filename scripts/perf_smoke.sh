@@ -13,11 +13,11 @@
 # When PERF_HISTORY_JSON is set (CI does this), a machine-readable
 # record of the run — per-bench wall clock vs baseline, the
 # thread-scaling efficiency, the CPU dispatch level the kernels ran
-# at (vs the compile-time word backend), the end-to-end hot-path
-# speedup vs the PR-7 generation (baseline kernels + scalar extract,
-# no memo/reach-cache), the per-batch and cross-batch (process-
-# global tier) decode-memo hit rates and the compiled-artifact
-# cache speedup from bench_sim_montecarlo, the persistent-store
+# at, the end-to-end hot-path speedup vs the PR-7 generation
+# (baseline kernels + scalar extract, no memo/reach-cache), the
+# per-batch and cross-batch (process-global tier) decode-memo hit
+# rates and the compiled-artifact cache speedup from
+# bench_sim_montecarlo, the persistent-store
 # warm-restart speedup from bench_service_throughput, and the
 # per-decoder decode-latency lines from bench_decoder_throughput —
 # is written there as one JSON document; CI uploads it as a dated
@@ -42,7 +42,6 @@ efficiency=""
 bench_json=""
 latency_json=""
 dispatch_runtime=""
-dispatch_compiled=""
 speedup_json=""
 speedup_lines=""
 memo_json=""
@@ -90,11 +89,9 @@ while read -r name baseline; do
     if [[ "$name" == "bench_sim_montecarlo" ]]; then
         efficiency=$(awk '/^parallel-efficiency@4:/ { print $2 }' \
             "$outfile")
-        # cpu-dispatch: <runtime> (compiled <backend>)
+        # cpu-dispatch: <level>
         dispatch_runtime=$(awk '/^cpu-dispatch:/ { print $2; exit }' \
             "$outfile")
-        dispatch_compiled=$(awk '/^cpu-dispatch:/ \
-            { gsub(/\)/, "", $4); print $4; exit }' "$outfile")
         # hotpath-speedup-vs-pr7[<fixture>]: <X.XX>x (...)
         speedup_json=$(awk -F'[][]' '/^hotpath-speedup-vs-pr7\[/ {
             split($3, f, " "); sub(/x$/, "", f[2]);
@@ -165,8 +162,7 @@ fi
 # generation (informational: the binary is the same either way, so a
 # baseline-only CI runner legitimately prints "baseline").
 if [[ -n "$dispatch_runtime" ]]; then
-    echo "perf-smoke: OK   cpu-dispatch = $dispatch_runtime" \
-         "(compiled $dispatch_compiled)"
+    echo "perf-smoke: OK   cpu-dispatch = $dispatch_runtime"
 else
     echo "perf-smoke: WARN no cpu-dispatch line from" \
          "bench_sim_montecarlo"
@@ -203,11 +199,8 @@ if [[ -n "${PERF_HISTORY_JSON:-}" ]]; then
         echo "  \"parallel_efficiency_at_4\": ${efficiency:-null},"
         if [[ -n "$dispatch_runtime" ]]; then
             echo "  \"cpu_dispatch\": \"$dispatch_runtime\","
-            echo "  \"word_backend_compiled\":" \
-                 "\"$dispatch_compiled\","
         else
             echo "  \"cpu_dispatch\": null,"
-            echo "  \"word_backend_compiled\": null,"
         fi
         echo "  \"hotpath_speedup_vs_pr7\": [$speedup_json],"
         echo "  \"decode_memo_hit_rate\": [$memo_json],"

@@ -98,8 +98,8 @@ echo "service-smoke: OK   $(cat "$stats")"
 
 # Noise-model leg: "noise.<source>.<param>" request keys and the
 # erasureAware toggle through the same service path.  Pinned to the
-# scalar64 word backend (one lane in every build) so the golden
-# bytes survive the CI word-backend matrix.  Regenerate with:
+# scalar64 word backend so the golden bytes do not move with the
+# default (wide512) backend.  Regenerate with:
 #   TRAQ_WORD_BACKEND=scalar64 build/traq_serve --ordered --threads 1 \
 #       < tests/data/noise_requests.jsonl \
 #       > tests/data/noise_requests.golden.jsonl

@@ -13,60 +13,30 @@ resolveWordBackend(WordBackend requested)
 {
     if (requested != WordBackend::Auto)
         return requested;
-    if (const char *env = std::getenv("TRAQ_WORD_BACKEND")) {
-        const std::string_view v(env);
-        if (v.empty())
-            return WordBackend::Wide;
-        if (v == "64" || v == "scalar" || v == "scalar64")
-            return WordBackend::Scalar64;
-        if (v == "256" || v == "wide" || v == "wide256")
-            return WordBackend::Wide;
-        if (v == "512" || v == "wide512")
-            return WordBackend::Wide512;
-        TRAQ_FATAL("unknown TRAQ_WORD_BACKEND value '" +
-                   std::string(v) +
-                   "' (known: 64/scalar/scalar64, "
-                   "256/wide/wide256, 512/wide512)");
-    }
-    return WordBackend::Wide;
+    const char *env = std::getenv("TRAQ_WORD_BACKEND");
+    const std::string_view v(env ? env : "");
+    if (v.empty() || v == "512" || v == "wide512")
+        return WordBackend::Wide512;
+    if (v == "64" || v == "scalar" || v == "scalar64")
+        return WordBackend::Scalar64;
+    TRAQ_FATAL("unknown TRAQ_WORD_BACKEND value '" + std::string(v) +
+               "' (known: 64/scalar/scalar64, 512/wide512)");
 }
 
 unsigned
 wordBackendLanes(WordBackend backend)
 {
-    switch (resolveWordBackend(backend)) {
-      case WordBackend::Scalar64:
-        return 1;
-      case WordBackend::Wide512:
-        return kWide512WordLanes;
-      default:
-        return kWideWordLanes;
-    }
+    return resolveWordBackend(backend) == WordBackend::Scalar64
+               ? 1
+               : kWide512WordLanes;
 }
 
 const char *
 wordBackendName(WordBackend backend)
 {
-    switch (resolveWordBackend(backend)) {
-      case WordBackend::Scalar64:
-        return "scalar64";
-      case WordBackend::Wide512:
-        return kWide512WordLanes == 1 ? "wide512(64)" : "wide512";
-      default:
-        return kWideWordLanes == 1 ? "wide(64)" : "wide256";
-    }
-}
-
-const char *
-wordBackendCompiled()
-{
-#if defined(__AVX512F__)
-    return "avx512f";
-#elif defined(__AVX2__)
-    return "avx2";
-#else
-    return "baseline";
-#endif
+    return resolveWordBackend(backend) == WordBackend::Scalar64
+               ? "scalar64"
+               : "wide512";
 }
 
 bool

@@ -12,41 +12,33 @@
  * sampler (see Rng::bernoulliPlane), which is where the throughput
  * win over the 64-bit path comes from.
  *
- * Three backends are exposed:
- *  - Scalar64: the portable one-lane path (64 shots per batch);
- *  - Wide:     kWideWordLanes lanes (256-bit planes by default);
- *  - Wide512:  kWide512WordLanes lanes (512-bit planes by default).
+ * Two backends are exposed:
+ *  - Scalar64: the portable one-lane path (64 shots per batch), the
+ *    reference stream that pinned tests and service goldens use;
+ *  - Wide512:  kWide512WordLanes lanes (512-bit planes), the default.
  *
  * Selection is per run: engines take a WordBackend option whose Auto
  * value defers to the TRAQ_WORD_BACKEND environment variable ("64" /
- * "scalar" vs "256" / "wide" vs "512" / "wide512"), defaulting to
- * Wide.  An unrecognized TRAQ_WORD_BACKEND value throws FatalError
- * listing the known names — a typo'd backend must not silently fall
- * back to the default (same loudness contract as TRAQ_DECODER).
- * Each backend is individually deterministic — for a fixed backend,
- * any thread count reproduces the single-thread tallies
- * bit-identically — but distinct backends consume randomness in
- * different orders, so they agree statistically, not bit-for-bit
+ * "scalar" / "scalar64" vs "512" / "wide512"), defaulting to
+ * Wide512.  An unrecognized TRAQ_WORD_BACKEND value throws
+ * FatalError listing the known names — a typo'd backend must not
+ * silently fall back to the default (same loudness contract as
+ * TRAQ_DECODER).  Each backend is individually deterministic — for
+ * a fixed backend, any thread count reproduces the single-thread
+ * tallies bit-identically — but the two backends consume randomness
+ * in different orders, so they agree statistically, not bit-for-bit
  * (and exactly on deterministic circuits).
  *
  * Orthogonal to the backend (how many lanes a plane has) is the
  * *dispatch level* (what vector ISA executes the lane loops).  The
  * frame-sampler kernels are compiled three times — baseline, AVX2,
  * AVX-512 — into one binary, and CpuDispatch picks the level at run
- * time via cpuid, so shipped builds get vector codegen by default
- * instead of behind the historical compile-time TRAQ_ENABLE_AVX2 /
- * TRAQ_ENABLE_AVX512 opt-ins (still honored: they raise the level
- * of the *baseline* translation units too).  The lane loops are
- * plain 64-bit XOR/AND/shift code, so every dispatch level produces
- * bit-identical planes on any x86-64 machine; the ISA only changes
- * how the compiler schedules them.  An unrecognized
- * TRAQ_CPU_DISPATCH value, or an explicitly requested level the
- * build or CPU cannot run, throws FatalError — same loudness
- * contract as TRAQ_WORD_BACKEND.
- *
- * Building with -DTRAQ_FORCE_WORD64 collapses the wide backends to a
- * single lane so CI can keep all code paths green from one test
- * suite.
+ * time via cpuid.  The lane loops are plain 64-bit XOR/AND/shift
+ * code, so every dispatch level produces bit-identical planes on any
+ * x86-64 machine; the ISA only changes how the compiler schedules
+ * them.  An unrecognized TRAQ_CPU_DISPATCH value, or an explicitly
+ * requested level the build or CPU cannot run, throws FatalError —
+ * same loudness contract as TRAQ_WORD_BACKEND.
  */
 
 #ifndef TRAQ_COMMON_WORD_HH
@@ -54,49 +46,31 @@
 
 namespace traq {
 
-/** Lanes (64-bit words) per sampling plane of the wide backend. */
-#ifdef TRAQ_FORCE_WORD64
-inline constexpr unsigned kWideWordLanes = 1;
-inline constexpr unsigned kWide512WordLanes = 1;
-#else
-inline constexpr unsigned kWideWordLanes = 4;    //!< 256-bit planes
-inline constexpr unsigned kWide512WordLanes = 8; //!< 512-bit planes
-#endif
+/** Lanes (64-bit words) per sampling plane of the wide512 backend. */
+inline constexpr unsigned kWide512WordLanes = 8;
 
 /** Bit-plane backend selector for sampling engines. */
 enum class WordBackend
 {
-    Auto,     //!< TRAQ_WORD_BACKEND env var, else Wide
+    Auto,     //!< TRAQ_WORD_BACKEND env var, else Wide512
     Scalar64, //!< portable one-lane path: 64 shots per batch
-    Wide,     //!< kWideWordLanes lanes per batch
     Wide512,  //!< kWide512WordLanes lanes per batch
 };
 
 /**
  * Resolve Auto against the TRAQ_WORD_BACKEND environment variable
- * ("64"/"scalar"/"scalar64" -> Scalar64, "256"/"wide"/"wide256" ->
- * Wide, "512"/"wide512" -> Wide512, unset or empty -> Wide).  Any
- * other value throws FatalError listing the known names.  Scalar64,
- * Wide, and Wide512 pass through unchanged.
+ * ("64"/"scalar"/"scalar64" -> Scalar64, "512"/"wide512" -> Wide512,
+ * unset or empty -> Wide512).  Any other value throws FatalError
+ * listing the known names.  Scalar64 and Wide512 pass through
+ * unchanged.
  */
 WordBackend resolveWordBackend(WordBackend requested);
 
 /** Lanes per plane for a resolved backend (Auto is resolved first). */
 unsigned wordBackendLanes(WordBackend backend);
 
-/** Short human-readable backend name ("scalar64" / "wide256" /
- *  "wide512"...). */
+/** Short human-readable backend name ("scalar64" / "wide512"). */
 const char *wordBackendName(WordBackend backend);
-
-/**
- * Compile-time vector codegen of the *core* library translation
- * units: "avx512f", "avx2", or "baseline".  This is what the
- * historical TRAQ_ENABLE_AVX2/512 CMake options control.  The
- * frame-sampler kernels are additionally compiled per dispatch level
- * (see CpuDispatch below), so the level that actually runs is
- * cpuDispatchName(resolveCpuDispatch(...)), not this.
- */
-const char *wordBackendCompiled();
 
 /**
  * Runtime CPU dispatch level for the multi-versioned sampler /

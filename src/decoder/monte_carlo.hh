@@ -8,8 +8,8 @@
  * regardless of which worker executes it, and per-shard tallies are
  * pure integer counts merged at the end, so the result is
  * bit-identical for any thread count — threads=1 and threads=N agree
- * exactly (per backend; the scalar and wide backends consume
- * randomness in different orders).  Each worker owns its decoder
+ * exactly (per backend; scalar64 and wide512 consume randomness in
+ * different orders).  Each worker owns its decoder
  * instance (via makeDecoder) and reusable sampling/syndrome
  * scratch, so the hot loop is allocation-free and scales with
  * cores.
@@ -125,9 +125,9 @@ struct McOptions
     unsigned threads = 0;
     /**
      * Sampling word backend (common/word.hh).  Auto defers to the
-     * TRAQ_WORD_BACKEND env var, defaulting to the wide backend.
-     * Results are bit-identical across thread counts for a fixed
-     * backend; the two backends agree statistically (and exactly on
+     * TRAQ_WORD_BACKEND env var, defaulting to wide512.  Results are
+     * bit-identical across thread counts for a fixed backend;
+     * scalar64 and wide512 agree statistically (and exactly on
      * noiseless / certain-error circuits) but consume randomness in
      * different orders.
      */

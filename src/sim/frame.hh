@@ -12,11 +12,11 @@
  *
  * This is the same architectural idea as Stim's frame simulator.  The
  * word width is a runtime property (see common/word.hh): one lane is
- * the classic portable 64-shot batch; kWideWordLanes lanes (256-bit
- * planes by default) amortize instruction dispatch and the sparse
- * Bernoulli sampler's one-draw-per-plane floor over 4x the shots,
- * which is what makes large-shot-count logical-error-rate estimation
- * fast.  Back-to-back single-qubit noise channels of the same kind on
+ * the classic portable 64-shot batch; kWide512WordLanes lanes
+ * (512-bit planes, the default backend) amortize instruction
+ * dispatch and the sparse Bernoulli sampler's one-draw-per-plane
+ * floor over 8x the shots, which is what makes large-shot-count
+ * logical-error-rate estimation fast.  Back-to-back single-qubit noise channels of the same kind on
  * the same targets are fused into a single Bernoulli plane draw.
  *
  * The hot bodies (per-gate lane loops, transpose extraction) live in
@@ -188,7 +188,8 @@ class FrameSimulator
      * @param seed  RNG seed (reassignable via rng()).
      * @param lanes 64-bit lanes per sampling plane; each batch
      *              simulates lanes * 64 shots.  1 is the portable
-     *              64-shot path; kWideWordLanes the wide backend.
+     *              64-shot path; kWide512WordLanes the wide512
+     *              backend.
      *              Any positive count works (tests use odd widths).
      * @param dispatch CPU dispatch level for the kernel copies,
      *              resolved here once (Auto: TRAQ_CPU_DISPATCH env

@@ -32,13 +32,6 @@ namespace traq::sim::kernels {
 /** One dispatch level's compiled kernel entry points. */
 struct FrameKernels
 {
-    /**
-     * Vector codegen this copy was actually compiled with
-     * ("avx512f" / "avx2" / "baseline") — truthful per translation
-     * unit, so a build whose compiler lacks -mavx2 reports baseline
-     * for every level.
-     */
-    const char *codegen;
     /** One whole batch of the circuit (the sampleInto hot body). */
     void (*sampleInto)(FrameSimState &st, const Circuit &circuit,
                        unsigned lanes, FrameBatch &out);

@@ -1,6 +1,6 @@
 /** Baseline (portable x86-64) copy of the frame-sampler kernels.
  *  No extra arch flags: this TU compiles at whatever level the core
- *  library uses (so TRAQ_ENABLE_AVX2 builds report avx2 here too). */
+ *  library uses (plain x86-64 unless CMAKE_CXX_FLAGS raises it). */
 
 #define TRAQ_KERNEL_NS baseline_level
 #include "src/sim/frame_kernels_impl.hh"

@@ -382,20 +382,14 @@ sampleIntoKernel(FrameSimState &st, const Circuit &circuit,
 {
     // Dispatch once per batch to a lane-count-specialized body so
     // the per-lane inner loops unroll (and vectorize — one 512-bit
-    // op per 8-lane plane at the avx512 level) for the common
+    // op per 8-lane plane at the avx512 level) for the two backend
     // widths; other widths take the generic runtime-lane path.
     switch (lanes) {
       case 1:
         sampleIntoBody<1>(st, circuit, lanes, out);
         break;
-      case 2:
-        sampleIntoBody<2>(st, circuit, lanes, out);
-        break;
-      case 4:
-        sampleIntoBody<4>(st, circuit, lanes, out);
-        break;
-      case 8:
-        sampleIntoBody<8>(st, circuit, lanes, out);
+      case kWide512WordLanes:
+        sampleIntoBody<kWide512WordLanes>(st, circuit, lanes, out);
         break;
       default:
         sampleIntoBody<0>(st, circuit, lanes, out);
@@ -556,26 +550,12 @@ extractBlockKernel(const FrameBatch &batch,
               out.heraldIds);
 }
 
-/** Truthful compile-time codegen of THIS translation unit. */
-constexpr const char *
-kernelCodegen()
-{
-#if defined(__AVX512F__)
-    return "avx512f";
-#elif defined(__AVX2__)
-    return "avx2";
-#else
-    return "baseline";
-#endif
-}
-
 } // namespace
 
 const FrameKernels &
 table()
 {
-    static const FrameKernels t{kernelCodegen(), &sampleIntoKernel,
-                                &extractBlockKernel};
+    static const FrameKernels t{&sampleIntoKernel, &extractBlockKernel};
     return t;
 }
 

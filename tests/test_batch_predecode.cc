@@ -132,7 +132,7 @@ TEST(BatchDecode, MatchesPerShotForAllRegisteredKinds)
     const auto graph =
         DecodeGraph::fromDem(sim::buildDem(e.circuit), e.meta);
     const auto syn =
-        sampleSyndromes(e, kWideWordLanes, 4, 0xba7c);
+        sampleSyndromes(e, kWide512WordLanes, 4, 0xba7c);
     ASSERT_GT(syn.shots(), 0u);
 
     for (DecoderKind kind : registeredDecoderKinds()) {
@@ -169,7 +169,7 @@ TEST(Predecode, OnOffCorrectionsIdenticalForAllKinds)
         const auto graph = DecodeGraph::fromDem(
             sim::buildDem(exp->circuit), exp->meta);
         const auto syn =
-            sampleSyndromes(*exp, kWideWordLanes, 6, 0x9e31);
+            sampleSyndromes(*exp, kWide512WordLanes, 6, 0x9e31);
         for (DecoderKind kind : registeredDecoderKinds()) {
             DecoderConfig off;
             off.predecode = 0;

@@ -10,9 +10,9 @@
  * `windowed` decoder reproduces whole-history decoding bit for bit
  * on memory circuits at its default window/commit depths.
  *
- * All Monte-Carlo runs pin the scalar word backend so the sampled
- * streams (and therefore the asserted hit counts) are identical in
- * the wide and TRAQ_FORCE_WORD64 CI configurations.
+ * All Monte-Carlo runs pin the scalar64 word backend so the sampled
+ * streams (and therefore the asserted hit counts) do not depend on
+ * the default backend or on TRAQ_WORD_BACKEND.
  */
 
 #include <gtest/gtest.h>

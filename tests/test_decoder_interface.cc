@@ -273,7 +273,13 @@ TEST(MonteCarloEngine, ThreadCountDoesNotChangeResults)
         opts.threads = threads;
         auto res = runMonteCarlo(e, opts);
         EXPECT_EQ(res.threadsUsed, threads);
-        EXPECT_EQ(res.shards, (opts.shots + 255) / 256);
+        // Shards are whole sampler batches: shardShots rounded up to
+        // 64 * lanes of whichever backend ran.
+        const std::uint64_t batch = 64ULL * res.wordLanes;
+        const std::uint64_t shardUnit =
+            (opts.shardShots + batch - 1) / batch * batch;
+        EXPECT_EQ(res.shards,
+                  (opts.shots + shardUnit - 1) / shardUnit);
         if (first) {
             ref = res;
             first = false;
@@ -317,11 +323,11 @@ TEST(MonteCarloEngine, TailShotsRoundToWideBatches)
     McOptions opts;
     opts.shots = 100;
     opts.threads = 1;
-    opts.wordBackend = WordBackend::Wide;
+    opts.wordBackend = WordBackend::Wide512;
     auto res = runMonteCarlo(e, opts);
-    const std::uint64_t batch = 64ULL * kWideWordLanes;
+    const std::uint64_t batch = 64ULL * kWide512WordLanes;
     EXPECT_EQ(res.shots, 100u);
-    EXPECT_EQ(res.wordLanes, kWideWordLanes);
+    EXPECT_EQ(res.wordLanes, kWide512WordLanes);
     EXPECT_EQ(res.sampledShots, (100 + batch - 1) / batch * batch);
     EXPECT_EQ(res.anyObservable.shots, 100u);
 }

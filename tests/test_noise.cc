@@ -360,9 +360,7 @@ TEST(NoiseMc, HeraldsDeterministicAcrossThreadsAndBackends)
     SurfaceCode sc(3);
     auto e = codes::buildMemory(sc, 'Z', 3,
                                 NoiseParams::uniform(0.003));
-    for (WordBackend wb :
-         {WordBackend::Scalar64, WordBackend::Wide,
-          WordBackend::Wide512}) {
+    for (WordBackend wb : {WordBackend::Scalar64, WordBackend::Wide512}) {
         McOptions opts;
         opts.shots = 4096;
         opts.seed = 0xd00d;

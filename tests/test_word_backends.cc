@@ -1,14 +1,16 @@
 /**
  * @file
  * Width-backend agreement tests for the wide bit-plane sampling
- * stack: the scalar (1-lane), wide (kWideWordLanes), and wide512
- * (kWide512WordLanes) backends must agree exactly on deterministic
- * circuits, statistically on noisy ones, and each backend must stay
- * bit-identical across thread counts.  Also covers extractSyndromeBlock
- * against the extractSyndromeBlockScalar reference for non-64 widths
- * and partial live masks,
+ * stack: the scalar64 (1-lane) and wide512 (kWide512WordLanes)
+ * backends must agree exactly on deterministic circuits,
+ * statistically on noisy ones, and each backend must stay
+ * bit-identical across thread counts.  FrameSimulator accepts any
+ * lane count, so the raw-sampler tests also run off-backend widths
+ * (4 lanes, 3 lanes) through the generic kernel path.  Also covers
+ * extractSyndromeBlock against the extractSyndromeBlockScalar
+ * reference for non-64 widths and partial live masks,
  * TRAQ_WORD_BACKEND resolution (including the loud-failure contract
- * on unknown values), and the noise-fusion path.
+ * on unknown and retired values), and the noise-fusion path.
  */
 
 #include <gtest/gtest.h>
@@ -52,8 +54,7 @@ TEST(WordBackends, DeterministicCircuitAgreesExactly)
     c.detector({2});
     c.detector({1});
     c.observable(0, {1, 2});
-    for (unsigned lanes :
-         {1u, kWideWordLanes, kWide512WordLanes, 3u}) {
+    for (unsigned lanes : {1u, 4u, kWide512WordLanes, 3u}) {
         FrameSimulator sim(7, lanes);
         FrameBatch b = sim.sample(c);
         ASSERT_EQ(b.lanes, lanes);
@@ -79,7 +80,7 @@ TEST(WordBackends, ObservableFlipCountsAgreeStatistically)
     c.observable(0, {1});
     const std::uint64_t minShots = 1 << 17;
     std::vector<double> rates;
-    for (unsigned lanes : {1u, kWideWordLanes, kWide512WordLanes}) {
+    for (unsigned lanes : {1u, 4u, kWide512WordLanes}) {
         FrameSimulator sim(99, lanes);
         std::uint64_t shots = 0;
         auto counts = sim.countObservableFlips(c, minShots, &shots);
@@ -104,34 +105,26 @@ TEST(WordBackends, EngineBackendsAgreeStatistically)
 
     opts.wordBackend = WordBackend::Scalar64;
     auto scalar = decoder::runMonteCarlo(e, opts);
-    opts.wordBackend = WordBackend::Wide;
-    auto wide = decoder::runMonteCarlo(e, opts);
     opts.wordBackend = WordBackend::Wide512;
     auto wide512 = decoder::runMonteCarlo(e, opts);
 
     EXPECT_EQ(scalar.wordLanes, 1u);
-    EXPECT_EQ(wide.wordLanes, kWideWordLanes);
     EXPECT_EQ(wide512.wordLanes, kWide512WordLanes);
-    EXPECT_EQ(scalar.shots, wide.shots);
     EXPECT_EQ(scalar.shots, wide512.shots);
     // ~5 sigma of a binomial proportion at these settings.
     const double sigma =
         std::sqrt(scalar.anyObservable.mean *
                   (1 - scalar.anyObservable.mean) / scalar.shots);
-    EXPECT_NEAR(wide.anyObservable.mean, scalar.anyObservable.mean,
-                5.0 * sigma + 1e-12);
     EXPECT_NEAR(wide512.anyObservable.mean,
                 scalar.anyObservable.mean, 5.0 * sigma + 1e-12);
-    EXPECT_NEAR(wide.avgDefects, scalar.avgDefects,
-                0.05 * scalar.avgDefects);
     EXPECT_NEAR(wide512.avgDefects, scalar.avgDefects,
                 0.05 * scalar.avgDefects);
 }
 
 TEST(WordBackends, WideBackendsThreadCountInvariant)
 {
-    // The per-backend determinism guarantee: for each wide backend,
-    // any thread count reproduces the 1-thread tallies exactly.
+    // The per-backend determinism guarantee: for each backend, any
+    // thread count reproduces the 1-thread tallies exactly.
     codes::SurfaceCode sc(3);
     auto e = codes::buildMemory(sc, 'Z', 3,
                                 codes::NoiseParams::uniform(0.01));
@@ -141,7 +134,7 @@ TEST(WordBackends, WideBackendsThreadCountInvariant)
     opts.shardShots = 512; // force many shards
 
     for (auto [backend, lanes] :
-         {std::pair{WordBackend::Wide, kWideWordLanes},
+         {std::pair{WordBackend::Scalar64, 1u},
           std::pair{WordBackend::Wide512, kWide512WordLanes}}) {
         opts.wordBackend = backend;
         decoder::McResult ref;
@@ -177,17 +170,15 @@ TEST(WordBackends, EnvResolutionParsesKnownNamesAndFailsLoudly)
     ASSERT_EQ(setenv("TRAQ_WORD_BACKEND", "512", 1), 0);
     EXPECT_EQ(resolveWordBackend(WordBackend::Scalar64),
               WordBackend::Scalar64);
-    EXPECT_EQ(resolveWordBackend(WordBackend::Wide),
-              WordBackend::Wide);
+    ASSERT_EQ(setenv("TRAQ_WORD_BACKEND", "64", 1), 0);
+    EXPECT_EQ(resolveWordBackend(WordBackend::Wide512),
+              WordBackend::Wide512);
 
     // Auto resolves every documented spelling.
     const std::pair<const char *, WordBackend> spellings[] = {
         {"64", WordBackend::Scalar64},
         {"scalar", WordBackend::Scalar64},
         {"scalar64", WordBackend::Scalar64},
-        {"256", WordBackend::Wide},
-        {"wide", WordBackend::Wide},
-        {"wide256", WordBackend::Wide},
         {"512", WordBackend::Wide512},
         {"wide512", WordBackend::Wide512},
     };
@@ -197,27 +188,35 @@ TEST(WordBackends, EnvResolutionParsesKnownNamesAndFailsLoudly)
             << name;
     }
 
-    // Unset / empty default to Wide.
+    // Unset / empty default to Wide512.
     ASSERT_EQ(setenv("TRAQ_WORD_BACKEND", "", 1), 0);
     EXPECT_EQ(resolveWordBackend(WordBackend::Auto),
-              WordBackend::Wide);
+              WordBackend::Wide512);
     ASSERT_EQ(unsetenv("TRAQ_WORD_BACKEND"), 0);
     EXPECT_EQ(resolveWordBackend(WordBackend::Auto),
-              WordBackend::Wide);
+              WordBackend::Wide512);
+    EXPECT_EQ(wordBackendLanes(WordBackend::Auto), kWide512WordLanes);
 
-    // A typo must throw, not silently fall back to the default.
-    ASSERT_EQ(setenv("TRAQ_WORD_BACKEND", "wide-512", 1), 0);
-    EXPECT_THROW(resolveWordBackend(WordBackend::Auto), FatalError);
+    // A typo, or a spelling of the retired 256-bit backend, must
+    // throw naming the remaining spellings — not silently fall back
+    // to the default.
+    for (const char *bad : {"wide-512", "256", "wide", "wide256"}) {
+        ASSERT_EQ(setenv("TRAQ_WORD_BACKEND", bad, 1), 0);
+        try {
+            resolveWordBackend(WordBackend::Auto);
+            ADD_FAILURE() << bad << " did not throw";
+        } catch (const FatalError &err) {
+            const std::string msg = err.what();
+            EXPECT_NE(msg.find("64/scalar/scalar64"), std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("512/wide512"), std::string::npos)
+                << msg;
+        }
+    }
     ASSERT_EQ(unsetenv("TRAQ_WORD_BACKEND"), 0);
 
-    EXPECT_STREQ(wordBackendName(WordBackend::Wide512),
-                 kWide512WordLanes == 8 ? "wide512"
-                                        : "wide512(64)");
-    // Compile-time codegen label is one of the three documented
-    // values (the runtime dispatch level is tested separately in
-    // test_cpu_dispatch.cc).
-    const std::string cg = wordBackendCompiled();
-    EXPECT_TRUE(cg == "avx512f" || cg == "avx2" || cg == "baseline");
+    EXPECT_STREQ(wordBackendName(WordBackend::Scalar64), "scalar64");
+    EXPECT_STREQ(wordBackendName(WordBackend::Wide512), "wide512");
 }
 
 /** Shot s's defects as a vector (for readable expectations). */
@@ -329,7 +328,7 @@ TEST(WordBackends, ExtractSyndromeBlockMatchesPerShotExtraction)
     codes::SurfaceCode sc(3);
     auto e = codes::buildMemory(sc, 'Z', 3,
                                 codes::NoiseParams::uniform(0.05));
-    for (unsigned lanes : {1u, kWideWordLanes, kWide512WordLanes}) {
+    for (unsigned lanes : {1u, 4u, kWide512WordLanes}) {
         FrameSimulator sim(31337, lanes);
         FrameBatch nb = sim.sample(e.circuit);
         const std::vector<std::uint64_t> live(lanes, ~0ULL);
@@ -347,7 +346,7 @@ TEST(WordBackends, FusedNoiseMatchesCombinedProbability)
     cancel.xError(1.0, {0});
     cancel.m(0);
     cancel.detector({1});
-    for (unsigned lanes : {1u, kWideWordLanes}) {
+    for (unsigned lanes : {1u, 4u, kWide512WordLanes}) {
         FrameSimulator sim(5, lanes);
         FrameBatch b = sim.sample(cancel);
         for (std::uint64_t w : b.detector(0))
@@ -360,7 +359,7 @@ TEST(WordBackends, FusedNoiseMatchesCombinedProbability)
     half.xError(0.5, {0});
     half.m(0);
     half.observable(0, {1});
-    FrameSimulator sim(11, kWideWordLanes);
+    FrameSimulator sim(11, kWide512WordLanes);
     std::uint64_t shots = 0;
     auto counts = sim.countObservableFlips(half, 1 << 16, &shots);
     const double rate = static_cast<double>(counts[0]) / shots;
