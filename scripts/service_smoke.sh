@@ -14,7 +14,10 @@
 #      4 worker processes,
 #   6. traq_dispatch streaming mode a permutation: every index exactly
 #      once, untagged payloads matching the golden after reorder, and
-#   7. a worker killed mid-run losing and duplicating nothing.
+#   7. a worker killed mid-run losing and duplicating nothing, and
+#   8. a store written under another decoder never answering the
+#      default one (Monte-Carlo cache keys carry the resolved
+#      decoder and word backend).
 #
 # Byte-identity legs use --ordered (traq_serve's default output is a
 # completion-order stream of {"index":N,...} tagged lines).
@@ -47,9 +50,10 @@ out1=$(mktemp)
 outn=$(mktemp)
 stats=$(mktemp)
 cachefile=$(mktemp)
+envcache=$(mktemp)
 bigreq=$(mktemp)
 bigexp=$(mktemp)
-trap 'rm -f "$out1" "$outn" "$stats" "$cachefile" "$bigreq" "$bigexp"' EXIT
+trap 'rm -f "$out1" "$outn" "$stats" "$cachefile" "$envcache" "$bigreq" "$bigexp"' EXIT
 
 # Prefix each tagged {"index":N,...} line with its index and a tab,
 # sort numerically, drop the prefix: completion order -> input order.
@@ -132,6 +136,37 @@ if ! grep -q " 1 cache hits" "$stats"; then
     exit 1
 fi
 echo "service-smoke: OK   $(cat "$stats")"
+
+# Cross-environment store leg: a store filled under the union-find
+# decoder must not answer the default decoder.  The second run on
+# the same store evaluates everything afresh (golden bytes, zero
+# persistent hits); a third run in its environment is served whole
+# from the store.
+TRAQ_WORD_BACKEND=scalar64 TRAQ_DECODER=union-find "$SERVE" --ordered \
+    --threads 2 --cache-file "$envcache" \
+    < "$NOISE_REQUESTS" > /dev/null 2> /dev/null
+TRAQ_WORD_BACKEND=scalar64 "$SERVE" --ordered --threads 2 \
+    --cache-file "$envcache" < "$NOISE_REQUESTS" > "$out1" 2> "$stats"
+if ! diff -u "$NOISE_GOLDEN" "$out1"; then
+    echo "service-smoke: FAIL store from another decoder changed" \
+         "the noise output" >&2
+    exit 1
+fi
+if ! grep -q " 0 persistent hits" "$stats"; then
+    echo "service-smoke: FAIL store from another decoder served" \
+         "results:" >&2
+    cat "$stats" >&2
+    exit 1
+fi
+TRAQ_WORD_BACKEND=scalar64 "$SERVE" --ordered --threads 2 \
+    --cache-file "$envcache" < "$NOISE_REQUESTS" > "$outn" 2> "$stats"
+if ! diff -u "$NOISE_GOLDEN" "$outn" || ! grep -q " 0 evaluated" "$stats"; then
+    echo "service-smoke: FAIL same-environment restart re-evaluated" \
+         "or changed bytes:" >&2
+    cat "$stats" >&2
+    exit 1
+fi
+echo "service-smoke: OK   cross-environment store $(cat "$stats")"
 
 # Warm-restart leg (caching tier 3): serve the request set with a
 # persistent cache file, let the process exit, then restart against

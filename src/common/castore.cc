@@ -12,7 +12,9 @@ namespace traq {
 namespace {
 
 constexpr char kFileMagic[8] = {'T', 'R', 'A', 'Q',
-                                'C', 'A', 'S', '1'};
+                                'C', 'A', 'S', '2'};
+/** File magic, then the u32 schema version of the stored values. */
+constexpr std::size_t kHeaderLen = sizeof(kFileMagic) + 4;
 constexpr std::uint32_t kRecordMagic = 0x51525443u; // "CTRQ" LE
 /** Per-field sanity bound: a length beyond this is corruption, not
  *  a real record (keys/values are JSON strings, not blobs). */
@@ -67,6 +69,14 @@ getLe64(const char *p)
 }
 
 std::string
+encodeHeader(std::uint32_t schema)
+{
+    std::string header(kFileMagic, sizeof(kFileMagic));
+    putLe32(header, schema);
+    return header;
+}
+
+std::string
 encodeRecord(const std::string &key, const std::string &value)
 {
     std::string rec;
@@ -115,12 +125,13 @@ CaStore::~CaStore()
 }
 
 void
-CaStore::open(const std::string &path)
+CaStore::open(const std::string &path, std::uint32_t schema)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     TRAQ_REQUIRE(file_ == nullptr, "CaStore::open: already open");
     TRAQ_REQUIRE(!path.empty(), "CaStore::open: empty path");
     path_ = path;
+    schema_ = schema;
     map_.clear();
     loadStats_ = {};
 
@@ -135,7 +146,8 @@ CaStore::open(const std::string &path)
     const long fileSize = std::ftell(file_);
     if (fileSize == 0) {
         // Fresh (or freshly created) store: stamp the header.
-        std::fwrite(kFileMagic, 1, sizeof(kFileMagic), file_);
+        const std::string header = encodeHeader(schema_);
+        std::fwrite(header.data(), 1, header.size(), file_);
         std::fflush(file_);
         return;
     }
@@ -148,17 +160,20 @@ CaStore::open(const std::string &path)
 
     std::size_t off = 0;
     bool bad = false;
-    if (buf.size() < sizeof(kFileMagic) ||
+    // Values stored under another schema may differ from what this
+    // build computes: such a file is never served.
+    if (buf.size() < kHeaderLen ||
         std::memcmp(buf.data(), kFileMagic, sizeof(kFileMagic)) !=
-            0) {
+            0 ||
+        getLe32(buf.data() + sizeof(kFileMagic)) != schema_) {
         std::fprintf(stderr,
-                     "castore: '%s' has no valid header (%zu "
-                     "bytes); rebuilding as an empty store\n",
-                     path.c_str(), buf.size());
+                     "castore: '%s' has no valid schema-%u header "
+                     "(%zu bytes); rebuilding as an empty store\n",
+                     path.c_str(), schema_, buf.size());
         bad = true;
         ++loadStats_.droppedRecords;
     } else {
-        off = sizeof(kFileMagic);
+        off = kHeaderLen;
         while (off < buf.size()) {
             const std::size_t remaining = buf.size() - off;
             if (remaining < 20) {
@@ -221,7 +236,8 @@ CaStore::rebuild()
     if (out == nullptr)
         TRAQ_FATAL("castore: cannot create rebuild file '" + tmp +
                    "'");
-    std::fwrite(kFileMagic, 1, sizeof(kFileMagic), out);
+    const std::string header = encodeHeader(schema_);
+    std::fwrite(header.data(), 1, header.size(), out);
     for (const auto &[key, value] : map_) {
         const std::string rec = encodeRecord(key, value);
         std::fwrite(rec.data(), 1, rec.size(), out);

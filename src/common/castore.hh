@@ -3,14 +3,17 @@
  * Persistent content-addressed store (caching tier 3).
  *
  * An append-only, checksummed key/value file: the disk form of the
- * service layer's canonicalKey result cache, so warm-cache
- * throughput survives process restarts and a store file can be
- * copied between workers.  Keys are canonical request keys, values
+ * service layer's result cache, so warm-cache throughput survives
+ * process restarts and a store file can be copied between
+ * workers.  Keys are the service's request cache keys, values
  * are the exact service-shaped JSON the queue would emit — replaying
  * a stored value is byte-identical to re-evaluating by construction
  * (estimators are deterministic pure functions).
  *
- * Format: an 8-byte file magic ("TRAQCAS1"), then records of
+ * Format: an 8-byte file magic ("TRAQCAS2") and the u32 schema
+ * version of the stored values (the caller's; a file holding another
+ * version is reported and started empty, never served), then
+ * records of
  *   u32 record magic | u32 keyLen | u32 valLen |
  *   u64 FNV-1a(key bytes, value bytes) | key | value
  * with all integers little-endian.  Append-only means corruption
@@ -75,10 +78,12 @@ class CaStore
      * Open (creating if absent) the store at @p path, loading every
      * valid record.  Truncation/corruption is detected by record
      * magic + lengths + checksum, warned about loudly on stderr, and
-     * repaired by rebuilding the file from the valid prefix.  Throws
-     * FatalError only when the path cannot be opened or created.
+     * repaired by rebuilding the file from the valid prefix.  A file
+     * whose header carries a schema other than @p schema is warned
+     * about and rebuilt empty.  Throws FatalError only when the path
+     * cannot be opened or created.
      */
-    void open(const std::string &path);
+    void open(const std::string &path, std::uint32_t schema = 0);
 
     /** True after a successful open(). */
     bool attached() const { return file_ != nullptr; }
@@ -112,6 +117,7 @@ class CaStore
     mutable std::mutex mutex_;
     std::string path_;
     std::FILE *file_ = nullptr;
+    std::uint32_t schema_ = 0;
     std::unordered_map<std::string, std::string> map_;
     LoadStats loadStats_;
 };

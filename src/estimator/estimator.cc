@@ -1,12 +1,14 @@
 #include "src/estimator/estimator.hh"
 
-#include <cmath>
+#include <algorithm>
+#include <iterator>
 #include <mutex>
 #include <utility>
 
 #include "src/arch/qec_cycle.hh"
 #include "src/arch/se_schedule.hh"
 #include "src/common/assert.hh"
+#include "src/common/param_reader.hh"
 #include "src/common/serialize.hh"
 #include "src/estimator/simulation.hh"
 #include "src/gadgets/factory.hh"
@@ -14,381 +16,236 @@
 namespace traq::est {
 namespace {
 
-int
-asInt(double v)
+/**
+ * "atom.*" and "errorModel.*" overrides, shared by every kind whose
+ * spec carries a platform and an error model.
+ */
+void
+readPlatform(ParamReader &r, platform::AtomArrayParams &atom,
+             model::ErrorModelParams &em)
 {
-    return static_cast<int>(std::llround(v));
+    r.real("atom.siteSpacing", atom.siteSpacing);
+    r.real("atom.acceleration", atom.acceleration);
+    r.real("atom.gateTime", atom.gateTime);
+    r.real("atom.measureTime", atom.measureTime);
+    r.real("atom.decodeTime", atom.decodeTime);
+    r.real("atom.coherenceTime", atom.coherenceTime);
+    r.real("atom.pPhys", atom.pPhys);
+    // The paper splits the reaction time evenly between measurement
+    // and decoding (Sec. II.2); Fig. 14(c) sweeps it as one knob.
+    // Read after its two halves, it wins over them.
+    double reaction = 0.0;
+    if (r.real("atom.reactionTime", reaction))
+        atom.measureTime = atom.decodeTime = reaction / 2.0;
+    r.real("errorModel.prefactorC", em.prefactorC);
+    r.real("errorModel.pPhys", em.pPhys);
+    r.real("errorModel.pThres", em.pThres);
+    r.real("errorModel.alpha", em.alpha);
 }
 
-/** Apply an "atom.*" parameter; returns false if key is not one. */
-bool
-applyAtomParam(platform::AtomArrayParams &atom,
-               const std::string &key, double v)
+void
+readFactoring(ParamReader &r, FactoringSpec &spec)
 {
-    if (key == "atom.siteSpacing")
-        atom.siteSpacing = v;
-    else if (key == "atom.acceleration")
-        atom.acceleration = v;
-    else if (key == "atom.gateTime")
-        atom.gateTime = v;
-    else if (key == "atom.measureTime")
-        atom.measureTime = v;
-    else if (key == "atom.decodeTime")
-        atom.decodeTime = v;
-    else if (key == "atom.coherenceTime")
-        atom.coherenceTime = v;
-    else if (key == "atom.pPhys")
-        atom.pPhys = v;
-    else if (key == "atom.reactionTime") {
-        // The paper splits the reaction time evenly between
-        // measurement and decoding (Sec. II.2); Fig. 14(c) sweeps it
-        // as one knob.
-        atom.measureTime = v / 2.0;
-        atom.decodeTime = v / 2.0;
-    } else {
-        return false;
-    }
-    return true;
+    r.integer("nBits", spec.nBits);
+    r.integer("wExp", spec.wExp);
+    r.integer("wMul", spec.wMul);
+    r.integer("rsep", spec.rsep);
+    r.integer("rpad", spec.rpad);
+    r.integer("distance", spec.distance);
+    r.integer("factories", spec.factories);
+    r.real("cczErrorBudget", spec.cczErrorBudget);
+    r.real("logicalErrorBudget", spec.logicalErrorBudget);
+    r.real("runwayErrorBudget", spec.runwayErrorBudget);
+    r.real("idlePeriod", spec.idlePeriod);
+    readPlatform(r, spec.atom, spec.errorModel);
 }
 
-/** Apply an "errorModel.*" parameter; false if key is not one. */
-bool
-applyErrorModelParam(model::ErrorModelParams &em,
-                     const std::string &key, double v)
-{
-    if (key == "errorModel.prefactorC")
-        em.prefactorC = v;
-    else if (key == "errorModel.pPhys")
-        em.pPhys = v;
-    else if (key == "errorModel.pThres")
-        em.pThres = v;
-    else if (key == "errorModel.alpha")
-        em.alpha = v;
-    else
-        return false;
-    return true;
-}
-
-/** Apply a factoring-spec parameter; false if key is not one. */
-bool
-applyFactoringParam(FactoringSpec &spec, const std::string &key,
-                    double v)
-{
-    if (key == "nBits")
-        spec.nBits = asInt(v);
-    else if (key == "wExp")
-        spec.wExp = asInt(v);
-    else if (key == "wMul")
-        spec.wMul = asInt(v);
-    else if (key == "rsep")
-        spec.rsep = asInt(v);
-    else if (key == "rpad")
-        spec.rpad = asInt(v);
-    else if (key == "distance")
-        spec.distance = asInt(v);
-    else if (key == "factories")
-        spec.factories = asInt(v);
-    else if (key == "cczErrorBudget")
-        spec.cczErrorBudget = v;
-    else if (key == "logicalErrorBudget")
-        spec.logicalErrorBudget = v;
-    else if (key == "runwayErrorBudget")
-        spec.runwayErrorBudget = v;
-    else if (key == "idlePeriod")
-        spec.idlePeriod = v;
-    else if (applyAtomParam(spec.atom, key, v))
-        return true;
-    else if (applyErrorModelParam(spec.errorModel, key, v))
-        return true;
-    else
-        return false;
-    return true;
-}
-
-FactoringSpec
-factoringSpecFor(const FactoringSpec &base, const ParamMap &params)
-{
-    FactoringSpec spec = base;
-    for (const auto &[key, v] : params)
-        if (!applyFactoringParam(spec, key, v))
-            TRAQ_FATAL("unknown factoring parameter '" + key + "'");
-    return spec;
-}
-
-EstimateResult
-resultShell(const char *kind, const ParamMap &params)
-{
-    EstimateResult res;
-    res.kind = kind;
-    res.params = params;
-    return res;
-}
-
-class FactoringEstimator : public Estimator
+/**
+ * A closed-form kind: a base spec, the kind's one read function and
+ * an evaluation of the read spec.  checkParams and estimate both read
+ * through it, so validation and evaluation cannot disagree about a
+ * parameter.
+ */
+template <class Spec>
+class SpecEstimator final : public Estimator
 {
   public:
-    explicit FactoringEstimator(const FactoringSpec &base)
-        : base_(base)
+    using Read = void (*)(ParamReader &, Spec &);
+    /** Sets the metrics (and feasibility) of a result whose kind
+     *  and params are filled in. */
+    using Evaluate =
+        std::function<void(const Spec &, EstimateResult &)>;
+
+    SpecEstimator(const char *kind, const Spec &base, Read read,
+                  Evaluate evaluate)
+        : kind_(kind), base_(base), read_(read),
+          evaluate_(std::move(evaluate))
     {}
 
-    const char *kind() const override { return "factoring"; }
+    const char *kind() const override { return kind_; }
 
-    void checkParams(const EstimateRequest &req) const override
+    std::string checkParams(const EstimateRequest &req) const override
     {
-        (void)factoringSpecFor(base_, req.params);
+        (void)readParams(req.params, kind_, base_, read_);
+        return canonicalKey(req);
     }
 
     EstimateResult estimate(const EstimateRequest &req) const override
     {
-        const FactoringSpec spec =
-            factoringSpecFor(base_, req.params);
-        const FactoringReport rep = estimateFactoring(spec);
-
-        EstimateResult res = resultShell(kind(), req.params);
-        res.feasible = rep.feasible;
-        res.metrics = {
-            {"exponentBits", rep.exponentBits},
-            {"lookupAdditions", rep.lookupAdditions},
-            {"cczTotal", rep.cczTotal},
-            {"distance", static_cast<double>(rep.distance)},
-            {"rpad", static_cast<double>(rep.rpad)},
-            {"factories", static_cast<double>(rep.factories)},
-            {"idlePeriodUsed", rep.idlePeriodUsed},
-            {"timePerLookup", rep.timePerLookup},
-            {"timePerAddition", rep.timePerAddition},
-            {"totalSeconds", rep.totalSeconds},
-            {"days", rep.days},
-            {"storageQubits", rep.storageQubits},
-            {"adderQubits", rep.adderQubits},
-            {"lookupQubits", rep.lookupQubits},
-            {"factoryQubits", rep.factoryQubits},
-            {"routingQubits", rep.routingQubits},
-            {"physicalQubits", rep.physicalQubits},
-            {"algorithmLogicalError", rep.algorithmLogicalError},
-            {"idleError", rep.idleError},
-            {"runwayError", rep.runwayError},
-            {"cczError", rep.cczError},
-            {"spacetimeVolume", rep.spacetimeVolume},
-            // Derived timing the Fig. 14(a,b) sweep reports.
-            {"qecRound",
-             arch::qecCycle(rep.distance, spec.atom).total},
-        };
+        EstimateResult res;
+        res.kind = kind_;
+        res.params = req.params;
+        evaluate_(readParams(req.params, kind_, base_, read_), res);
         return res;
     }
 
   private:
-    FactoringSpec base_;
+    const char *kind_;
+    Spec base_;
+    Read read_;
+    Evaluate evaluate_;
 };
 
-class ChemistryEstimator : public Estimator
+void
+evaluateFactoring(const FactoringSpec &spec, EstimateResult &res)
+{
+    const FactoringReport rep = estimateFactoring(spec);
+    res.feasible = rep.feasible;
+    res.metrics = {
+        {"exponentBits", rep.exponentBits},
+        {"lookupAdditions", rep.lookupAdditions},
+        {"cczTotal", rep.cczTotal},
+        {"distance", static_cast<double>(rep.distance)},
+        {"rpad", static_cast<double>(rep.rpad)},
+        {"factories", static_cast<double>(rep.factories)},
+        {"idlePeriodUsed", rep.idlePeriodUsed},
+        {"timePerLookup", rep.timePerLookup},
+        {"timePerAddition", rep.timePerAddition},
+        {"totalSeconds", rep.totalSeconds},
+        {"days", rep.days},
+        {"storageQubits", rep.storageQubits},
+        {"adderQubits", rep.adderQubits},
+        {"lookupQubits", rep.lookupQubits},
+        {"factoryQubits", rep.factoryQubits},
+        {"routingQubits", rep.routingQubits},
+        {"physicalQubits", rep.physicalQubits},
+        {"algorithmLogicalError", rep.algorithmLogicalError},
+        {"idleError", rep.idleError},
+        {"runwayError", rep.runwayError},
+        {"cczError", rep.cczError},
+        {"spacetimeVolume", rep.spacetimeVolume},
+        // Derived timing the Fig. 14(a,b) sweep reports.
+        {"qecRound", arch::qecCycle(rep.distance, spec.atom).total},
+    };
+}
+
+void
+readChemistry(ParamReader &r, ChemistrySpec &spec)
+{
+    r.integer("spinOrbitals", spec.spinOrbitals);
+    r.real("lambdaHam", spec.lambdaHam);
+    r.real("energyError", spec.energyError);
+    r.integer("thcRank", spec.thcRank);
+    r.integer("rotationBits", spec.rotationBits);
+    r.integer("distance", spec.distance);
+    readPlatform(r, spec.atom, spec.errorModel);
+}
+
+void
+evaluateChemistry(const ChemistrySpec &spec, EstimateResult &res)
+{
+    const ChemistryReport rep = estimateChemistry(spec);
+    res.metrics = {
+        {"iterations", rep.iterations},
+        {"lookupAddressBits",
+         static_cast<double>(rep.lookupAddressBits)},
+        {"cczPerIteration", rep.cczPerIteration},
+        {"cczTotal", rep.cczTotal},
+        {"timePerIteration", rep.timePerIteration},
+        {"totalSeconds", rep.totalSeconds},
+        {"days", rep.days},
+        {"physicalQubits", rep.physicalQubits},
+        {"distance", static_cast<double>(rep.distance)},
+        {"spacetimeVolume", rep.spacetimeVolume},
+        {"latticeSurgerySeconds", rep.latticeSurgerySeconds},
+        {"speedup", rep.speedup},
+    };
+}
+
+void
+readGidneyEkera(ParamReader &r, GidneyEkeraSpec &spec)
+{
+    r.integer("nBits", spec.nBits);
+    r.integer("wExp", spec.wExp);
+    r.integer("wMul", spec.wMul);
+    r.integer("rsep", spec.rsep);
+    r.integer("rpad", spec.rpad);
+    r.integer("distance", spec.distance, 3);
+    r.real("tCycle", spec.tCycle);
+    r.real("tReaction", spec.tReaction);
+}
+
+void
+evaluateGidneyEkera(const GidneyEkeraSpec &spec, EstimateResult &res)
+{
+    const BaselinePoint p = gidneyEkera(spec);
+    res.metrics = {
+        {"physicalQubits", p.physicalQubits},
+        {"totalSeconds", p.seconds},
+        {"spacetimeVolume", p.spacetimeVolume},
+    };
+}
+
+/** Hybrid qLDPC storage over a reference factoring solve. */
+struct QldpcSpec
+{
+    FactoringSpec factoring;
+    QldpcStorageSpec storage;
+};
+
+/** The storage-encoding parameters; every other name configures the
+ *  reference factoring solve. */
+constexpr std::pair<std::string_view, double QldpcStorageSpec::*>
+    kStorageParams[] = {
+        {"compressionFactor", &QldpcStorageSpec::compressionFactor},
+        {"eligibleFraction", &QldpcStorageSpec::eligibleFraction},
+        {"accessMovePatches", &QldpcStorageSpec::accessMovePatches},
+};
+
+void
+readQldpc(ParamReader &r, QldpcSpec &spec)
+{
+    for (const auto &[name, field] : kStorageParams)
+        r.real(name, spec.storage.*field);
+    readFactoring(r, spec.factoring);
+}
+
+/**
+ * Memoized reference solves, keyed on the factoring parameters
+ * alone: sweeping storage parameters reuses the (expensive)
+ * factoring estimate.  Thread-safe.
+ */
+class FactoringMemo
 {
   public:
-    explicit ChemistryEstimator(const ChemistrySpec &base)
-        : base_(base)
-    {}
-
-    const char *kind() const override { return "chemistry"; }
-
-    void checkParams(const EstimateRequest &req) const override
+    const FactoringReport &solve(const ParamMap &params,
+                                 const FactoringSpec &spec)
     {
-        (void)specFor(req.params);
-    }
-
-    EstimateResult estimate(const EstimateRequest &req) const override
-    {
-        const ChemistrySpec spec = specFor(req.params);
-        const ChemistryReport rep = estimateChemistry(spec);
-
-        EstimateResult res = resultShell(kind(), req.params);
-        res.metrics = {
-            {"iterations", rep.iterations},
-            {"lookupAddressBits",
-             static_cast<double>(rep.lookupAddressBits)},
-            {"cczPerIteration", rep.cczPerIteration},
-            {"cczTotal", rep.cczTotal},
-            {"timePerIteration", rep.timePerIteration},
-            {"totalSeconds", rep.totalSeconds},
-            {"days", rep.days},
-            {"physicalQubits", rep.physicalQubits},
-            {"distance", static_cast<double>(rep.distance)},
-            {"spacetimeVolume", rep.spacetimeVolume},
-            {"latticeSurgerySeconds", rep.latticeSurgerySeconds},
-            {"speedup", rep.speedup},
-        };
-        return res;
-    }
-
-  private:
-    ChemistrySpec specFor(const ParamMap &params) const
-    {
-        ChemistrySpec spec = base_;
-        for (const auto &[key, v] : params) {
-            if (key == "spinOrbitals")
-                spec.spinOrbitals = asInt(v);
-            else if (key == "lambdaHam")
-                spec.lambdaHam = v;
-            else if (key == "energyError")
-                spec.energyError = v;
-            else if (key == "thcRank")
-                spec.thcRank = asInt(v);
-            else if (key == "rotationBits")
-                spec.rotationBits = asInt(v);
-            else if (key == "distance")
-                spec.distance = asInt(v);
-            else if (applyAtomParam(spec.atom, key, v) ||
-                     applyErrorModelParam(spec.errorModel, key, v))
+        std::string key;
+        for (const auto &[name, v] : params) {
+            if (std::any_of(std::begin(kStorageParams),
+                            std::end(kStorageParams),
+                            [&](const auto &p) {
+                                return p.first == name;
+                            }))
                 continue;
-            else
-                TRAQ_FATAL("unknown chemistry parameter '" + key +
-                           "'");
+            key += '|';
+            key += name;
+            key += '=';
+            key += fmtRoundTrip(v);
         }
-        return spec;
-    }
-
-    ChemistrySpec base_;
-};
-
-class GidneyEkeraEstimator : public Estimator
-{
-  public:
-    explicit GidneyEkeraEstimator(const GidneyEkeraSpec &base)
-        : base_(base)
-    {}
-
-    const char *kind() const override { return "gidney-ekera"; }
-
-    void checkParams(const EstimateRequest &req) const override
-    {
-        (void)specFor(req.params);
-    }
-
-    EstimateResult estimate(const EstimateRequest &req) const override
-    {
-        const GidneyEkeraSpec spec = specFor(req.params);
-        const BaselinePoint p = gidneyEkera(spec);
-
-        EstimateResult res = resultShell(kind(), req.params);
-        res.metrics = {
-            {"physicalQubits", p.physicalQubits},
-            {"totalSeconds", p.seconds},
-            {"spacetimeVolume", p.spacetimeVolume},
-        };
-        return res;
-    }
-
-  private:
-    GidneyEkeraSpec specFor(const ParamMap &params) const
-    {
-        GidneyEkeraSpec spec = base_;
-        for (const auto &[key, v] : params) {
-            if (key == "nBits")
-                spec.nBits = asInt(v);
-            else if (key == "wExp")
-                spec.wExp = asInt(v);
-            else if (key == "wMul")
-                spec.wMul = asInt(v);
-            else if (key == "rsep")
-                spec.rsep = asInt(v);
-            else if (key == "rpad")
-                spec.rpad = asInt(v);
-            else if (key == "distance")
-                spec.distance = asInt(v);
-            else if (key == "tCycle")
-                spec.tCycle = v;
-            else if (key == "tReaction")
-                spec.tReaction = v;
-            else
-                TRAQ_FATAL("unknown gidney-ekera parameter '" + key +
-                           "'");
-        }
-        return spec;
-    }
-
-    GidneyEkeraSpec base_;
-};
-
-class QldpcStorageEstimator : public Estimator
-{
-  public:
-    QldpcStorageEstimator(const FactoringSpec &factoringBase,
-                          const QldpcStorageSpec &storageBase)
-        : factoringBase_(factoringBase), storageBase_(storageBase)
-    {}
-
-    const char *kind() const override { return "qldpc-storage"; }
-
-    void checkParams(const EstimateRequest &req) const override
-    {
-        ParamMap factoringParams;
-        (void)splitParams(req.params, factoringParams);
-        (void)factoringSpecFor(factoringBase_, factoringParams);
-    }
-
-    EstimateResult estimate(const EstimateRequest &req) const override
-    {
-        ParamMap factoringParams;
-        const QldpcStorageSpec storage =
-            splitParams(req.params, factoringParams);
-        const FactoringSpec spec =
-            factoringSpecFor(factoringBase_, factoringParams);
-        const FactoringReport &base = solveBase(factoringParams,
-                                                spec);
-        const QldpcStorageReport rep =
-            applyQldpcStorage(base, spec, storage);
-
-        EstimateResult res = resultShell(kind(), req.params);
-        res.feasible = base.feasible;
-        res.metrics = {
-            {"surfaceStorageQubits", rep.surfaceStorageQubits},
-            {"denseStorageQubits", rep.denseStorageQubits},
-            {"residualSurfaceQubits", rep.residualSurfaceQubits},
-            {"physicalQubits", rep.physicalQubits},
-            {"footprintReduction", rep.footprintReduction},
-            {"accessCycleTime", rep.accessCycleTime},
-            {"computeCycleTime", rep.computeCycleTime},
-            {"spacetimeVolume", rep.spacetimeVolume},
-            {"totalSeconds", base.totalSeconds},
-            {"basePhysicalQubits", base.physicalQubits},
-        };
-        return res;
-    }
-
-  private:
-    /**
-     * Split the flat parameter map into storage-spec overrides and
-     * the residue destined for the factoring spec (whose applier
-     * rejects unknown names).
-     */
-    QldpcStorageSpec splitParams(const ParamMap &params,
-                                 ParamMap &factoringParams) const
-    {
-        QldpcStorageSpec storage = storageBase_;
-        for (const auto &[key, v] : params) {
-            if (key == "compressionFactor")
-                storage.compressionFactor = v;
-            else if (key == "eligibleFraction")
-                storage.eligibleFraction = v;
-            else if (key == "accessMovePatches")
-                storage.accessMovePatches = v;
-            else
-                factoringParams[key] = v;  // validated by the
-                                           // factoring applier
-        }
-        return storage;
-    }
-
-    /**
-     * Memoized reference solve: sweeping storage parameters reuses
-     * the (expensive) factoring estimate for identical factoring
-     * parameter sets.
-     */
-    const FactoringReport &solveBase(const ParamMap &factoringParams,
-                                     const FactoringSpec &spec) const
-    {
-        EstimateRequest keyReq{"factoring", factoringParams};
-        const std::string key = canonicalKey(keyReq);
         {
-            std::lock_guard<std::mutex> lock(cacheMutex_);
+            std::lock_guard<std::mutex> lock(mutex_);
             auto it = cache_.find(key);
             if (it != cache_.end())
                 return it->second;
@@ -398,128 +255,73 @@ class QldpcStorageEstimator : public Estimator
         // the losing insert is discarded.  std::map references stay
         // valid across later insertions.
         FactoringReport report = estimateFactoring(spec);
-        std::lock_guard<std::mutex> lock(cacheMutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         return cache_.emplace(key, std::move(report)).first->second;
     }
 
-    FactoringSpec factoringBase_;
-    QldpcStorageSpec storageBase_;
-    mutable std::mutex cacheMutex_;
-    mutable std::map<std::string, FactoringReport> cache_;
+  private:
+    std::mutex mutex_;
+    std::map<std::string, FactoringReport> cache_;
 };
 
-class FactoryDesignEstimator : public Estimator
+void
+readFactory(ParamReader &r, gadgets::FactorySpec &spec)
 {
-  public:
-    const char *kind() const override { return "factory-design"; }
+    r.real("targetCczError", spec.targetCczError);
+    r.real("seRoundsPerGate", spec.seRoundsPerGate);
+    r.integer("forcedDistance", spec.forcedDistance);
+    readPlatform(r, spec.atom, spec.errorModel);
+}
 
-    void checkParams(const EstimateRequest &req) const override
-    {
-        (void)specFor(req.params);
-    }
-
-    EstimateResult estimate(const EstimateRequest &req) const override
-    {
-        const gadgets::FactorySpec spec = specFor(req.params);
-        const gadgets::FactoryReport rep =
-            gadgets::designFactory(spec);
-
-        EstimateResult res = resultShell(kind(), req.params);
-        res.metrics = {
-            {"distance", static_cast<double>(rep.distance)},
-            {"tInputError", rep.tInputError},
-            {"cczError", rep.cczError},
-            {"qubits", rep.qubits},
-            {"cczTime", rep.cczTime},
-            {"volume", rep.qubits * rep.cczTime},
-            {"throughput", rep.throughput},
-            {"retryOverhead", rep.retryOverhead},
-            {"cultivationRows",
-             static_cast<double>(rep.cultivationRows)},
-            {"cultivationFits", rep.cultivationFits ? 1.0 : 0.0},
-        };
-        return res;
-    }
-
-  private:
-    gadgets::FactorySpec specFor(const ParamMap &params) const
-    {
-        gadgets::FactorySpec spec;
-        for (const auto &[key, v] : params) {
-            if (key == "targetCczError")
-                spec.targetCczError = v;
-            else if (key == "seRoundsPerGate")
-                spec.seRoundsPerGate = v;
-            else if (key == "forcedDistance")
-                spec.forcedDistance = asInt(v);
-            else if (applyAtomParam(spec.atom, key, v) ||
-                     applyErrorModelParam(spec.errorModel, key, v))
-                continue;
-            else
-                TRAQ_FATAL("unknown factory-design parameter '" +
-                           key + "'");
-        }
-        return spec;
-    }
-};
-
-class IdleStorageEstimator : public Estimator
+void
+evaluateFactory(const gadgets::FactorySpec &spec, EstimateResult &res)
 {
-  public:
-    const char *kind() const override { return "idle-storage"; }
-
-    void checkParams(const EstimateRequest &req) const override
-    {
-        (void)specFor(req.params);
-    }
-
-    EstimateResult estimate(const EstimateRequest &req) const override
-    {
-        const Spec spec = specFor(req.params);
-
-        EstimateResult res = resultShell(kind(), req.params);
-        res.metrics = {
-            {"optimalPeriod",
-             arch::optimalIdlePeriod(spec.d, spec.atom, spec.em)},
-            {"approxPeriod",
-             arch::optimalIdlePeriodApprox(spec.d, spec.atom,
-                                           spec.em)},
-        };
-        if (spec.sePeriod > 0.0)
-            res.metrics["rate"] = arch::idleLogicalErrorRate(
-                spec.sePeriod, spec.d, spec.atom, spec.em);
-        return res;
-    }
-
-  private:
-    struct Spec
-    {
-        int d = 27;
-        double sePeriod = 0.0;  // <= 0: report only the optimum
-        platform::AtomArrayParams atom =
-            platform::AtomArrayParams::paperDefaults();
-        model::ErrorModelParams em =
-            model::ErrorModelParams::paperDefaults();
+    const gadgets::FactoryReport rep = gadgets::designFactory(spec);
+    res.metrics = {
+        {"distance", static_cast<double>(rep.distance)},
+        {"tInputError", rep.tInputError},
+        {"cczError", rep.cczError},
+        {"qubits", rep.qubits},
+        {"cczTime", rep.cczTime},
+        {"volume", rep.qubits * rep.cczTime},
+        {"throughput", rep.throughput},
+        {"retryOverhead", rep.retryOverhead},
+        {"cultivationRows", static_cast<double>(rep.cultivationRows)},
+        {"cultivationFits", rep.cultivationFits ? 1.0 : 0.0},
     };
+}
 
-    Spec specFor(const ParamMap &params) const
-    {
-        Spec spec;
-        for (const auto &[key, v] : params) {
-            if (key == "distance")
-                spec.d = asInt(v);
-            else if (key == "sePeriod")
-                spec.sePeriod = v;
-            else if (applyAtomParam(spec.atom, key, v) ||
-                     applyErrorModelParam(spec.em, key, v))
-                continue;
-            else
-                TRAQ_FATAL("unknown idle-storage parameter '" + key +
-                           "'");
-        }
-        return spec;
-    }
+/** Idle-storage cadence at one distance. */
+struct IdleSpec
+{
+    int d = 27;
+    double sePeriod = 0.0; // <= 0: report only the optimum
+    platform::AtomArrayParams atom =
+        platform::AtomArrayParams::paperDefaults();
+    model::ErrorModelParams em = model::ErrorModelParams::paperDefaults();
 };
+
+void
+readIdle(ParamReader &r, IdleSpec &spec)
+{
+    r.integer("distance", spec.d);
+    r.real("sePeriod", spec.sePeriod);
+    readPlatform(r, spec.atom, spec.em);
+}
+
+void
+evaluateIdle(const IdleSpec &spec, EstimateResult &res)
+{
+    res.metrics = {
+        {"optimalPeriod",
+         arch::optimalIdlePeriod(spec.d, spec.atom, spec.em)},
+        {"approxPeriod",
+         arch::optimalIdlePeriodApprox(spec.d, spec.atom, spec.em)},
+    };
+    if (spec.sePeriod > 0.0)
+        res.metrics["rate"] = arch::idleLogicalErrorRate(
+            spec.sePeriod, spec.d, spec.atom, spec.em);
+}
 
 std::mutex &
 registryMutex()
@@ -546,9 +348,17 @@ registry()
                                               QldpcStorageSpec{});
          }},
         {"factory-design",
-         [] { return std::make_unique<FactoryDesignEstimator>(); }},
+         [] {
+             return std::make_unique<
+                 SpecEstimator<gadgets::FactorySpec>>(
+                 "factory-design", gadgets::FactorySpec{},
+                 readFactory, evaluateFactory);
+         }},
         {"idle-storage",
-         [] { return std::make_unique<IdleStorageEstimator>(); }},
+         [] {
+             return std::make_unique<SpecEstimator<IdleSpec>>(
+                 "idle-storage", IdleSpec{}, readIdle, evaluateIdle);
+         }},
         // Simulation-backed kinds (src/estimator/simulation.hh):
         // Monte-Carlo logical error rates and the Fig. 6(a) alpha
         // extraction, served through the same request shape.
@@ -739,27 +549,50 @@ registeredEstimators()
 std::unique_ptr<Estimator>
 makeFactoringEstimator(const FactoringSpec &base)
 {
-    return std::make_unique<FactoringEstimator>(base);
+    return std::make_unique<SpecEstimator<FactoringSpec>>(
+        "factoring", base, readFactoring, evaluateFactoring);
 }
 
 std::unique_ptr<Estimator>
 makeChemistryEstimator(const ChemistrySpec &base)
 {
-    return std::make_unique<ChemistryEstimator>(base);
+    return std::make_unique<SpecEstimator<ChemistrySpec>>(
+        "chemistry", base, readChemistry, evaluateChemistry);
 }
 
 std::unique_ptr<Estimator>
 makeGidneyEkeraEstimator(const GidneyEkeraSpec &base)
 {
-    return std::make_unique<GidneyEkeraEstimator>(base);
+    return std::make_unique<SpecEstimator<GidneyEkeraSpec>>(
+        "gidney-ekera", base, readGidneyEkera, evaluateGidneyEkera);
 }
 
 std::unique_ptr<Estimator>
 makeQldpcStorageEstimator(const FactoringSpec &factoringBase,
                           const QldpcStorageSpec &storageBase)
 {
-    return std::make_unique<QldpcStorageEstimator>(factoringBase,
-                                                   storageBase);
+    auto memo = std::make_shared<FactoringMemo>();
+    return std::make_unique<SpecEstimator<QldpcSpec>>(
+        "qldpc-storage", QldpcSpec{factoringBase, storageBase},
+        readQldpc, [memo](const QldpcSpec &spec, EstimateResult &res) {
+            const FactoringReport &base =
+                memo->solve(res.params, spec.factoring);
+            const QldpcStorageReport rep =
+                applyQldpcStorage(base, spec.factoring, spec.storage);
+            res.feasible = base.feasible;
+            res.metrics = {
+                {"surfaceStorageQubits", rep.surfaceStorageQubits},
+                {"denseStorageQubits", rep.denseStorageQubits},
+                {"residualSurfaceQubits", rep.residualSurfaceQubits},
+                {"physicalQubits", rep.physicalQubits},
+                {"footprintReduction", rep.footprintReduction},
+                {"accessCycleTime", rep.accessCycleTime},
+                {"computeCycleTime", rep.computeCycleTime},
+                {"spacetimeVolume", rep.spacetimeVolume},
+                {"totalSeconds", base.totalSeconds},
+                {"basePhysicalQubits", base.physicalQubits},
+            };
+        });
 }
 
 } // namespace traq::est

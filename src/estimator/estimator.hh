@@ -48,9 +48,10 @@ using ParamMap = std::map<std::string, double>;
  * One estimate request: which estimator kind, and named parameter
  * overrides applied on top of the estimator's base specification.
  * Integer-valued spec fields (window sizes, distances, counts) are
- * rounded from the double value.  Unknown parameter names throw
- * FatalError — a sweep over a misspelled axis must not silently
- * no-op.
+ * rounded from the double value and must be finite and fit the
+ * field.  Unknown parameter names throw FatalError listing the
+ * known ones (common/param_reader.hh) — a sweep over a misspelled
+ * axis must not silently no-op.
  */
 struct EstimateRequest
 {
@@ -132,20 +133,23 @@ class Estimator
         const = 0;
 
     /**
-     * Validate request parameters without running the estimate:
-     * throws FatalError with exactly the message estimate() would
-     * produce for an unknown parameter name, an unappliable value,
-     * or an inconsistent specification; returns normally otherwise.
-     * Built-ins implement this by running their spec-application
-     * phase on a scratch spec.  The default accepts everything —
-     * kinds whose parameter space is not statically checkable defer
-     * to estimate(), and the service validation layer then reports
+     * Validate request parameters without running the estimate, and
+     * return the key the service caches the result under: throws
+     * FatalError with exactly the message estimate() would produce
+     * for an unknown parameter name, an unappliable value, or an
+     * inconsistent specification.  Built-ins run the read function
+     * estimate() runs; the key is canonicalKey(req) plus any process
+     * state the result depends on, as resolved now (the Monte-Carlo
+     * kinds' decoder and word backend).  The default accepts
+     * everything and returns canonicalKey(req) — kinds whose
+     * parameter space is not statically checkable defer to
+     * estimate(), and the service validation layer then reports
      * those failures as execution errors instead of validation
      * errors.  Must be thread-safe and cheap (no evaluation).
      */
-    virtual void checkParams(const EstimateRequest &req) const
+    virtual std::string checkParams(const EstimateRequest &req) const
     {
-        (void)req;
+        return canonicalKey(req);
     }
 };
 

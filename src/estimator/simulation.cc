@@ -5,6 +5,7 @@
 
 #include "src/codes/experiments.hh"
 #include "src/common/assert.hh"
+#include "src/common/param_reader.hh"
 #include "src/decoder/monte_carlo.hh"
 #include "src/estimator/sweep.hh"
 #include "src/model/fit.hh"
@@ -12,20 +13,20 @@
 namespace traq::est {
 namespace {
 
-std::int64_t
-asInt64(double v)
+/**
+ * The part of a Monte-Carlo result's cache key that is process state
+ * rather than a parameter: the decoder kind (TRAQ_DECODER overrides
+ * the requested one) and the word backend, which fixes the RNG
+ * stream layout.
+ */
+std::string
+resolvedEngineKey(decoder::DecoderKind kind, WordBackend backend)
 {
-    return std::llround(v);
-}
-
-/** Round to a positive integer; rejects zero/negative values before
- *  any unsigned cast can wrap them into huge counts. */
-std::uint64_t
-asPositive(const char *what, double v)
-{
-    const std::int64_t n = asInt64(v);
-    TRAQ_REQUIRE(n > 0, std::string(what) + " must be positive");
-    return static_cast<std::uint64_t>(n);
+    std::string key = ";decoder=";
+    key += decoder::decoderKindName(decoder::resolveDecoderKind(kind));
+    key += ";wordBackend=";
+    key += wordBackendName(resolveWordBackend(backend));
+    return key;
 }
 
 class McLogicalErrorEstimator : public Estimator
@@ -37,69 +38,22 @@ class McLogicalErrorEstimator : public Estimator
 
     const char *kind() const override { return "mc-logical-error"; }
 
-    void checkParams(const EstimateRequest &req) const override
+    /** The key adds the resolved engine state and the predecode
+     *  switch, which the predecodedPairs metric reports. */
+    std::string checkParams(const EstimateRequest &req) const override
     {
-        (void)specFor(req.params);
+        const McSimSpec spec = specFor(req.params);
+        return canonicalKey(req) +
+               resolvedEngineKey(spec.mc.decoder,
+                                 spec.mc.wordBackend) +
+               (decoder::resolvePredecode(spec.mc.predecode)
+                    ? ";predecode=1"
+                    : ";predecode=0");
     }
 
     EstimateResult estimate(const EstimateRequest &req) const override
     {
         const McSimSpec spec = specFor(req.params);
-        return runEstimate(spec, req);
-    }
-
-  private:
-    /** Spec application + validity checks, shared with checkParams. */
-    McSimSpec specFor(const ParamMap &params) const
-    {
-        McSimSpec spec = base_;
-        for (const auto &[key, v] : params) {
-            if (key == "distance")
-                spec.distance = static_cast<int>(asInt64(v));
-            else if (key == "p")
-                spec.pPhys = v;
-            else if (key == "rounds")
-                spec.rounds = static_cast<int>(asInt64(v));
-            else if (key == "cnotLayers")
-                spec.cnotLayers = static_cast<int>(asInt64(v));
-            else if (key == "cnotsPerBatch")
-                spec.cnotsPerBatch = static_cast<int>(asInt64(v));
-            else if (key == "seRoundsPerBatch")
-                spec.seRoundsPerBatch = static_cast<int>(asInt64(v));
-            else if (key == "shots")
-                spec.shots = asPositive("shots", v);
-            else if (key == "seed")
-                spec.seed = static_cast<std::uint64_t>(asInt64(v));
-            else if (key == "mcThreads")
-                spec.threads = static_cast<unsigned>(
-                    asPositive("mcThreads", v));
-            else if (key == "predecode")
-                spec.predecode = static_cast<int>(asInt64(v));
-            else if (key == "globalMemo")
-                spec.globalMemo = static_cast<int>(asInt64(v));
-            else if (key == "compileCache")
-                spec.compileCache = static_cast<int>(asInt64(v));
-            else if (key == "erasureAware")
-                spec.erasureAware = v != 0.0;
-            else if (key.rfind("noise.", 0) == 0)
-                // Flat noise-stack encoding; setFlat validates the
-                // key shape, makeNoiseSource (at engine compile
-                // time) the source and parameter names.
-                spec.noiseSpec.setFlat(key, v);
-            else
-                TRAQ_FATAL("unknown mc-logical-error parameter '" +
-                           key + "'");
-        }
-        TRAQ_REQUIRE(spec.distance >= 3 && spec.distance % 2 == 1,
-                     "mc-logical-error needs an odd distance >= 3");
-        TRAQ_REQUIRE(spec.shots > 0,
-                     "mc-logical-error needs shots > 0");
-        return spec;
-    }
-
-    EstimateResult runEstimate(const McSimSpec &spec,
-                               const EstimateRequest &req) const
-    {
         const auto noise = codes::NoiseParams::uniform(spec.pPhys);
         const bool isCnot = spec.cnotLayers > 0;
         codes::Experiment exp;
@@ -127,21 +81,8 @@ class McLogicalErrorEstimator : public Estimator
             seRounds = rounds;
         }
 
-        decoder::McOptions mc;
-        mc.shots = spec.shots;
-        mc.seed = spec.seed;
-        mc.decoder = spec.decoder;
-        mc.correlationBoost = spec.correlationBoost;
-        mc.windowRounds = spec.windowRounds;
-        mc.commitRounds = spec.commitRounds;
-        mc.threads = spec.threads;
-        mc.wordBackend = spec.wordBackend;
-        mc.predecode = spec.predecode;
-        mc.globalMemo = spec.globalMemo;
-        mc.compileCache = spec.compileCache;
-        mc.noiseSpec = spec.noiseSpec;
-        mc.erasureAware = spec.erasureAware;
-        const decoder::McResult res = decoder::runMonteCarlo(exp, mc);
+        const decoder::McResult res =
+            decoder::runMonteCarlo(exp, spec.mc);
 
         EstimateResult out;
         out.kind = kind();
@@ -165,7 +106,7 @@ class McLogicalErrorEstimator : public Estimator
             out.metrics["pPerCnot"] =
                 res.anyObservable.mean / spec.cnotLayers;
         }
-        if (!spec.noiseSpec.empty()) {
+        if (!spec.mc.noiseSpec.empty()) {
             out.metrics["heraldedShots"] =
                 static_cast<double>(res.heraldedShots);
             out.metrics["heraldRate"] =
@@ -177,6 +118,39 @@ class McLogicalErrorEstimator : public Estimator
     }
 
   private:
+    /** Spec application + validity checks, shared with checkParams.
+     *  Builds the noise stack too, so unknown source and parameter
+     *  names fail here rather than in a worker. */
+    McSimSpec specFor(const ParamMap &params) const
+    {
+        const McSimSpec spec = readParams(
+            params, kind(), base_, [](ParamReader &r, McSimSpec &s) {
+                r.integer("distance", s.distance);
+                r.real("p", s.pPhys);
+                r.integer("rounds", s.rounds, 0);
+                r.integer("cnotLayers", s.cnotLayers, 0);
+                r.integer("cnotsPerBatch", s.cnotsPerBatch);
+                r.integer("seRoundsPerBatch", s.seRoundsPerBatch);
+                r.count("shots", s.mc.shots);
+                r.integer("seed", s.mc.seed);
+                r.count("mcThreads", s.mc.threads);
+                r.integer("predecode", s.mc.predecode);
+                r.integer("globalMemo", s.mc.globalMemo);
+                r.integer("compileCache", s.mc.compileCache);
+                r.flag("erasureAware", s.mc.erasureAware);
+                r.prefixed("noise.", "noise.<source>.<param>",
+                           [&](const std::string &key, double v) {
+                               s.mc.noiseSpec.setFlat(key, v);
+                           });
+            });
+        TRAQ_REQUIRE(spec.distance >= 3 && spec.distance % 2 == 1,
+                     "mc-logical-error needs an odd distance >= 3");
+        TRAQ_REQUIRE(spec.mc.shots > 0,
+                     "mc-logical-error needs shots > 0");
+        (void)noise::NoiseModel::fromSpec(spec.mc.noiseSpec);
+        return spec;
+    }
+
     McSimSpec base_;
 };
 
@@ -191,62 +165,6 @@ class McAlphaEstimator : public Estimator
     EstimateResult estimate(const EstimateRequest &req) const override
     {
         const McAlphaSpec spec = specFor(req.params);
-        return runEstimate(spec, req);
-    }
-
-    void checkParams(const EstimateRequest &req) const override
-    {
-        (void)specFor(req.params);
-    }
-
-  private:
-    /** Spec application + validity checks, shared with checkParams. */
-    McAlphaSpec specFor(const ParamMap &params) const
-    {
-        McAlphaSpec spec = base_;
-        for (const auto &[key, v] : params) {
-            if (key == "p")
-                spec.pPhys = v;
-            else if (key == "shots")
-                spec.shots = asPositive("shots", v);
-            else if (key == "seed")
-                spec.seed = static_cast<std::uint64_t>(asInt64(v));
-            else if (key == "dMin")
-                spec.dMin = static_cast<int>(asInt64(v));
-            else if (key == "dMax")
-                spec.dMax = static_cast<int>(asInt64(v));
-            else if (key == "cnotDMax")
-                spec.cnotDMax = static_cast<int>(asInt64(v));
-            else if (key == "cnotLayers")
-                spec.cnotLayers = static_cast<int>(asInt64(v));
-            else if (key == "xMax")
-                spec.xMax = static_cast<int>(asInt64(v));
-            else if (key == "fixLambda")
-                spec.fixLambda = v;
-            else if (key == "sweepThreads")
-                // 0 = auto (TRAQ_THREADS / hardware), so only
-                // negatives are rejected here.
-                spec.sweepThreads = static_cast<unsigned>(
-                    v == 0.0 ? 0 : asPositive("sweepThreads", v));
-            else if (key == "mcThreads")
-                spec.mcThreads = static_cast<unsigned>(
-                    asPositive("mcThreads", v));
-            else
-                TRAQ_FATAL("unknown mc-alpha parameter '" + key +
-                           "'");
-        }
-        TRAQ_REQUIRE(spec.dMin >= 3 && spec.dMin % 2 == 1 &&
-                         spec.dMax >= spec.dMin,
-                     "mc-alpha needs odd distances with "
-                     "3 <= dMin <= dMax");
-        TRAQ_REQUIRE(spec.cnotLayers > 0 && spec.xMax >= 1,
-                     "mc-alpha needs cnotLayers > 0 and xMax >= 1");
-        return spec;
-    }
-
-    EstimateResult runEstimate(const McAlphaSpec &spec,
-                               const EstimateRequest &req) const
-    {
         const int cnotDMax = std::max(spec.cnotDMax, spec.dMin);
 
         std::vector<double> distances;
@@ -263,10 +181,10 @@ class McAlphaEstimator : public Estimator
 
         McSimSpec mcBase;
         mcBase.pPhys = spec.pPhys;
-        mcBase.shots = spec.shots;
-        mcBase.seed = spec.seed;
-        mcBase.threads = spec.mcThreads;
-        mcBase.decoder = spec.decoder;
+        mcBase.mc.shots = spec.shots;
+        mcBase.mc.seed = spec.seed;
+        mcBase.mc.threads = spec.mcThreads;
+        mcBase.mc.decoder = spec.decoder;
         const std::shared_ptr<const Estimator> mc =
             makeMcLogicalErrorEstimator(mcBase);
 
@@ -366,7 +284,43 @@ class McAlphaEstimator : public Estimator
         return out;
     }
 
+    /** Every grid point runs under the same resolved engine state,
+     *  which the key adds. */
+    std::string checkParams(const EstimateRequest &req) const override
+    {
+        const McAlphaSpec spec = specFor(req.params);
+        return canonicalKey(req) +
+               resolvedEngineKey(spec.decoder, WordBackend::Auto);
+    }
+
   private:
+    /** Spec application + validity checks, shared with checkParams. */
+    McAlphaSpec specFor(const ParamMap &params) const
+    {
+        const McAlphaSpec spec = readParams(
+            params, kind(), base_, [](ParamReader &r, McAlphaSpec &s) {
+                r.real("p", s.pPhys);
+                r.count("shots", s.shots);
+                r.integer("seed", s.seed);
+                r.integer("dMin", s.dMin);
+                r.integer("dMax", s.dMax);
+                r.integer("cnotDMax", s.cnotDMax);
+                r.integer("cnotLayers", s.cnotLayers);
+                r.integer("xMax", s.xMax);
+                r.real("fixLambda", s.fixLambda);
+                // 0 = auto (TRAQ_THREADS / hardware).
+                r.integer("sweepThreads", s.sweepThreads);
+                r.count("mcThreads", s.mcThreads);
+            });
+        TRAQ_REQUIRE(spec.dMin >= 3 && spec.dMin % 2 == 1 &&
+                         spec.dMax >= spec.dMin,
+                     "mc-alpha needs odd distances with "
+                     "3 <= dMin <= dMax");
+        TRAQ_REQUIRE(spec.cnotLayers > 0 && spec.xMax >= 1,
+                     "mc-alpha needs cnotLayers > 0 and xMax >= 1");
+        return spec;
+    }
+
     McAlphaSpec base_;
 };
 

@@ -35,10 +35,9 @@
 #include <cstdint>
 #include <memory>
 
-#include "src/common/word.hh"
 #include "src/decoder/decoder.hh"
+#include "src/decoder/monte_carlo.hh"
 #include "src/estimator/estimator.hh"
-#include "src/noise/noise.hh"
 
 namespace traq::est {
 
@@ -51,43 +50,15 @@ struct McSimSpec
     int cnotLayers = 0;       //!< 0 -> memory experiment
     int cnotsPerBatch = 1;    //!< CX layers per SE block
     int seRoundsPerBatch = 1; //!< SE rounds per SE block
-    std::uint64_t shots = 4096;
-    std::uint64_t seed = 0xa1fa;
-    /** Engine worker threads per estimate.  Default 1: an outer
-     *  SweepRunner already parallelizes over grid jobs. */
-    unsigned threads = 1;
-    /** Decoder kind per worker (TRAQ_DECODER env overrides). */
-    decoder::DecoderKind decoder = decoder::DecoderKind::Fallback;
-    /** Partner-edge posterior ceiling (correlated decoder). */
-    double correlationBoost = 0.5;
-    /** Window/commit depths in rounds (windowed decoder). */
-    int windowRounds = 6;
-    int commitRounds = 2;
-    WordBackend wordBackend = WordBackend::Auto;
-    /** Predecode tri-state (McOptions::predecode): negative defers
-     *  to TRAQ_PREDECODE, 0 off, positive on. */
-    int predecode = -1;
-    /** Process-global decode memo tri-state (caching tier 1,
-     *  McOptions::globalMemo): negative defers to TRAQ_GLOBAL_MEMO
-     *  (default ON), 0 off, positive on.  Request parameter
-     *  "globalMemo".  Bit-identical either way. */
-    int globalMemo = -1;
-    /** Compiled-artifact cache tri-state (caching tier 2,
-     *  McOptions::compileCache): negative defers to
-     *  TRAQ_COMPILE_CACHE (default ON), 0 off, positive on.
-     *  Request parameter "compileCache".  Bit-identical either
-     *  way; sweep grids sharing a circuit compile it once. */
-    int compileCache = -1;
     /**
-     * Extra noise-source stack (src/noise) compiled over the
-     * experiment circuit.  Request parameters named
-     * "noise.<source>.<param>" populate this spec, so a noise stack
-     * sweeps and serializes like any other scalar axis.
+     * Engine options: 4096 shots, seed 0xa1fa and one engine thread
+     * per estimate (an outer SweepRunner already parallelizes over
+     * grid jobs), everything else at the McOptions defaults.
+     * Request parameters "shots", "seed", "mcThreads", "predecode",
+     * "globalMemo", "compileCache", "erasureAware" and
+     * "noise.<source>.<param>" override fields here.
      */
-    noise::NoiseSpec noiseSpec{};
-    /** Herald-driven edge reweighting (McOptions::erasureAware);
-     *  request parameter "erasureAware" (0 / 1). */
-    bool erasureAware = true;
+    decoder::McOptions mc{.shots = 4096, .seed = 0xa1fa, .threads = 1};
 };
 
 /**

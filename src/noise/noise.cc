@@ -6,57 +6,12 @@
 #include <sstream>
 
 #include "src/common/assert.hh"
+#include "src/common/param_reader.hh"
 #include "src/common/serialize.hh"
 #include "src/platform/movement.hh"
 
 namespace traq::noise {
 namespace {
-
-/**
- * Parameter-map reader that validates names and ranges up front.
- * Every source constructor drains one of these and then calls
- * finish(), so a misspelled parameter throws instead of no-opping.
- */
-class ParamReader
-{
-  public:
-    ParamReader(const std::string &source,
-                const std::map<std::string, double> &params)
-        : source_(source), params_(params)
-    {}
-
-    double
-    get(const std::string &name, double fallback)
-    {
-        seen_.push_back(name);
-        auto it = params_.find(name);
-        return it == params_.end() ? fallback : it->second;
-    }
-
-    void
-    finish() const
-    {
-        for (const auto &[name, value] : params_) {
-            (void)value;
-            if (std::find(seen_.begin(), seen_.end(), name) ==
-                seen_.end()) {
-                std::ostringstream oss;
-                oss << "unknown parameter '" << name
-                    << "' for noise source '" << source_
-                    << "' (known:";
-                for (const auto &k : seen_)
-                    oss << " " << k;
-                oss << ")";
-                TRAQ_FATAL(oss.str());
-            }
-        }
-    }
-
-  private:
-    std::string source_;
-    const std::map<std::string, double> &params_;
-    std::vector<std::string> seen_;
-};
 
 void
 requireProb(double p, const char *what)
@@ -100,9 +55,9 @@ class AtomLossSource final : public NoiseSource
     explicit AtomLossSource(
         const std::map<std::string, double> &params)
     {
-        ParamReader r("atom-loss", params);
-        p_ = r.get("p", 1e-3);
-        eta_ = r.get("heraldEff", 1.0);
+        ParamReader r(params, "noise source", name());
+        r.real("p", p_);
+        r.real("heraldEff", eta_);
         r.finish();
         requireProb(p_, "atom-loss p");
         requireProb(eta_, "atom-loss heraldEff");
@@ -120,7 +75,7 @@ class AtomLossSource final : public NoiseSource
     }
 
   private:
-    double p_ = 0.0;
+    double p_ = 1e-3;
     double eta_ = 1.0;
 };
 
@@ -131,9 +86,9 @@ class LeakageSource final : public NoiseSource
     explicit LeakageSource(
         const std::map<std::string, double> &params)
     {
-        ParamReader r("leakage", params);
-        p_ = r.get("p", 1e-4);
-        eta_ = r.get("heraldEff", 0.5);
+        ParamReader r(params, "noise source", name());
+        r.real("p", p_);
+        r.real("heraldEff", eta_);
         r.finish();
         requireProb(p_, "leakage p");
         requireProb(eta_, "leakage heraldEff");
@@ -152,7 +107,7 @@ class LeakageSource final : public NoiseSource
     }
 
   private:
-    double p_ = 0.0;
+    double p_ = 1e-4;
     double eta_ = 0.5;
 };
 
@@ -168,9 +123,9 @@ class IdleDephasingSource final : public NoiseSource
     explicit IdleDephasingSource(
         const std::map<std::string, double> &params)
     {
-        ParamReader r("idle-dephasing", params);
-        t2_ = r.get("t2", 1.0);
-        moveSites_ = r.get("moveSites", 2.0);
+        ParamReader r(params, "noise source", name());
+        r.real("t2", t2_);
+        r.real("moveSites", moveSites_);
         r.finish();
         TRAQ_REQUIRE(t2_ > 0.0, "idle-dephasing t2 must be > 0");
         TRAQ_REQUIRE(moveSites_ >= 0.0,
@@ -213,8 +168,8 @@ class CorrelatedPauliSource final : public NoiseSource
     explicit CorrelatedPauliSource(
         const std::map<std::string, double> &params)
     {
-        ParamReader r("correlated-pauli", params);
-        p_ = r.get("p", 1e-4);
+        ParamReader r(params, "noise source", name());
+        r.real("p", p_);
         r.finish();
         requireProb(p_, "correlated-pauli p");
     }
@@ -231,7 +186,7 @@ class CorrelatedPauliSource final : public NoiseSource
     }
 
   private:
-    double p_ = 0.0;
+    double p_ = 1e-4;
 };
 
 /**
@@ -245,9 +200,9 @@ class BiasedMeasurementSource final : public NoiseSource
     explicit BiasedMeasurementSource(
         const std::map<std::string, double> &params)
     {
-        ParamReader r("biased-measurement", params);
-        p_ = r.get("p", 1e-3);
-        bias_ = r.get("bias", 0.0);
+        ParamReader r(params, "noise source", name());
+        r.real("p", p_);
+        r.real("bias", bias_);
         r.finish();
         requireProb(p_, "biased-measurement p");
         TRAQ_REQUIRE(bias_ >= -1.0 && bias_ <= 1.0,
@@ -279,7 +234,7 @@ class BiasedMeasurementSource final : public NoiseSource
     }
 
   private:
-    double p_ = 0.0;
+    double p_ = 1e-3;
     double bias_ = 0.0;
 };
 

@@ -15,7 +15,7 @@
  *    in JobId order is byte-identical for any worker count, because
  *    estimators are deterministic pure functions and outcomes are
  *    never indexed by worker identity;
- *  - completed jobs are memoized by est::canonicalKey, including
+ *  - completed jobs are memoized by cache key, including
  *    deterministic failures (a request that fails validation or
  *    throws FatalError once fails with the same message forever;
  *    transient system errors are reported but evicted);
@@ -54,7 +54,7 @@ struct JobQueueOptions
 {
     /** Worker threads; 0 = TRAQ_THREADS env or hardware. */
     unsigned threads = 0;
-    /** Memoize completed jobs by est::canonicalKey. */
+    /** Memoize completed jobs by cache key (validation.hh). */
     bool cache = true;
     /**
      * Persistent content-addressed store backing the result cache

@@ -49,7 +49,7 @@ Scheduler::Scheduler(SchedulerOptions opts,
         TRAQ_REQUIRE(opts_.cache,
                      "Scheduler: a cache file requires the result "
                      "cache (the store is its disk form)");
-        store_.open(opts_.cacheFile);
+        store_.open(opts_.cacheFile, kResultSchemaVersion);
         // Pre-load every stored outcome as a done cache entry:
         // admission-time hits on them are plain map lookups, so a
         // restarted worker serves warm traffic at warm-cache speed.

@@ -6,7 +6,7 @@
  * The scheduler accepts Validated admission tickets (validation.hh)
  * and owns everything after admission:
  *
- *  - the canonicalKey result cache, including pre-loading the
+ *  - the result cache (keyed as validation.hh says), pre-loading the
  *    persistent CaStore (caching tier 3) at construction and
  *    appending cacheable completions — successes and deterministic
  *    FatalError failures, never transient errors;
@@ -36,6 +36,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -51,12 +52,21 @@
 
 namespace traq::service {
 
+/**
+ * Version of the persistent store's keys and stored outcome JSON,
+ * written into its header; a store of another version starts empty.
+ * Bump it whenever a key or stored byte can change.
+ * ResultSchema.GoldenDigestPinned pins it with a digest of the
+ * tests/data golden outputs, so a moved golden fails until it is.
+ */
+inline constexpr std::uint32_t kResultSchemaVersion = 2;
+
 /** Execution options for a Scheduler. */
 struct SchedulerOptions
 {
     /** Worker threads; 0 = TRAQ_THREADS env or hardware. */
     unsigned threads = 0;
-    /** Memoize completed jobs by canonical key. */
+    /** Memoize completed jobs by cache key. */
     bool cache = true;
     /**
      * Resolved persistent-store path (the facade applies the
@@ -162,7 +172,7 @@ class Scheduler
     struct Entry
     {
         est::EstimateRequest request;
-        std::string key; //!< canonicalKey; empty when cache is off
+        std::string key; //!< cache key; empty when cache is off
         JobOutcome outcome;
         JobStateMachine state;
         bool done = false;

@@ -60,20 +60,20 @@ Validator::validate(est::EstimateRequest req) const
 {
     Validated v;
     v.request = std::move(req);
+    const char *stage = errc::kind;
+    try {
+        const auto estimator = pool_->get(v.request.kind);
+        stage = errc::param;
+        std::string key = estimator->checkParams(v.request);
+        if (computeKey_)
+            v.key = std::move(key);
+        return v;
+    } catch (const FatalError &e) {
+        v.error = {stage, e.what()};
+    }
+    // Rejections are cached under the plain request key.
     if (computeKey_)
         v.key = est::canonicalKey(v.request);
-    std::shared_ptr<const est::Estimator> estimator;
-    try {
-        estimator = pool_->get(v.request.kind);
-    } catch (const FatalError &e) {
-        v.error = {errc::kind, e.what()};
-        return v;
-    }
-    try {
-        estimator->checkParams(v.request);
-    } catch (const FatalError &e) {
-        v.error = {errc::param, e.what()};
-    }
     return v;
 }
 

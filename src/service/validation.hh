@@ -18,17 +18,19 @@
  *      the estimator for the request kind; an unknown kind is
  *      errc::kind with makeEstimator's exact FatalError message.
  *   3. per-kind parameter checks — Estimator::checkParams runs the
- *      kind's spec-application phase on a scratch spec, so an
- *      unknown parameter name or unappliable value is rejected at
- *      admission (errc::param) with byte-identical diagnostics to
- *      what estimate() would have thrown from a worker.
+ *      kind's read function on a scratch spec, so an unknown
+ *      parameter name or unappliable value is rejected at admission
+ *      (errc::param) with byte-identical diagnostics to what
+ *      estimate() would have thrown from a worker.  The same call
+ *      returns the request's cache key: canonicalKey, plus the
+ *      resolved process state a Monte-Carlo result depends on.
  *
  * Steps 2 and 3 produce a Validated ticket: either a request plus
- * its canonical cache key, or a structured JobError.  Both outcomes
- * are admitted to the scheduler — deterministic validation failures
- * are cached and persisted exactly like evaluation failures were in
- * the monolithic JobQueue, so stats counters and golden output bytes
- * are unchanged.
+ * its cache key, or a structured JobError (keyed by canonicalKey).
+ * Both outcomes are admitted to the scheduler — deterministic
+ * validation failures are cached and persisted exactly like
+ * evaluation failures were in the monolithic JobQueue, so stats
+ * counters and golden output bytes are unchanged.
  */
 
 #ifndef TRAQ_SERVICE_VALIDATION_HH
@@ -92,7 +94,7 @@ ParsedLine parseRequestLine(std::string_view text);
 struct Validated
 {
     est::EstimateRequest request;
-    std::string key; //!< canonicalKey; empty when caching is off
+    std::string key; //!< cache key; empty when caching is off
     JobError error;  //!< non-empty: failed validation
 
     bool ok() const { return error.empty(); }
@@ -109,7 +111,7 @@ class Validator
     /**
      * @param pool        shared estimator instances (also used by
      *                    the scheduler workers).
-     * @param computeKey  compute est::canonicalKey for cacheable
+     * @param computeKey  fill Validated::key for cacheable
      *                    admission; off when the result cache is
      *                    off.
      */

@@ -22,9 +22,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -70,6 +74,9 @@ class EnvGuard
     std::string saved_;
     bool wasSet_ = true;
 };
+
+/** CaStore header bytes: file magic plus the u32 schema version. */
+constexpr long kStoreHeader = 12;
 
 /** mkstemp-backed file deleted at scope exit. */
 class TempFile
@@ -446,7 +453,8 @@ TEST(CaStore, TruncatedTailRecoveredWithoutFatal)
         store.put("k2", "v2");
         store.put("k3", "v3");
     }
-    ASSERT_EQ(truncate(file.path().c_str(), 8 + 3 * 24 - 5), 0);
+    ASSERT_EQ(truncate(file.path().c_str(), kStoreHeader + 3 * 24 - 5),
+              0);
 
     std::string v;
     {
@@ -488,7 +496,7 @@ TEST(CaStore, CorruptedRecordDropsItAndItsSuffix)
         // catches it, and the unverifiable suffix goes with it.
         std::FILE *f = std::fopen(file.path().c_str(), "r+b");
         ASSERT_NE(f, nullptr);
-        ASSERT_EQ(std::fseek(f, 8 + 24 + 20, SEEK_SET), 0);
+        ASSERT_EQ(std::fseek(f, kStoreHeader + 24 + 20, SEEK_SET), 0);
         std::fputc('X', f);
         std::fclose(f);
     }
@@ -503,6 +511,112 @@ TEST(CaStore, CorruptedRecordDropsItAndItsSuffix)
     std::string v;
     ASSERT_TRUE(store.get("k1", v));
     EXPECT_EQ(v, "v1");
+}
+
+TEST(CaStore, OtherSchemaStartsEmpty)
+{
+    TempFile file;
+    {
+        CaStore store;
+        store.open(file.path(), 1);
+        store.put("k1", "v1");
+    }
+    {
+        CaStore store;
+        store.open(file.path(), 2);  // reported, never served
+        EXPECT_TRUE(store.loadStats().recovered);
+        EXPECT_EQ(store.size(), 0u);
+        EXPECT_TRUE(store.put("k1", "v1 under schema 2"));
+    }
+    CaStore store;
+    store.open(file.path(), 2);
+    EXPECT_FALSE(store.loadStats().recovered);
+    std::string v;
+    ASSERT_TRUE(store.get("k1", v));
+    EXPECT_EQ(v, "v1 under schema 2");
+}
+
+/** FNV-1a over the golden service outputs, in file-name order. */
+std::uint64_t
+goldenDigest()
+{
+    std::vector<std::filesystem::path> goldens;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::filesystem::path(TRAQ_SOURCE_DIR) / "tests" /
+             "data")) {
+        const std::string name = entry.path().filename().string();
+        if (name.size() > 13 &&
+            name.substr(name.size() - 13) == ".golden.jsonl")
+            goldens.push_back(entry.path());
+    }
+    std::sort(goldens.begin(), goldens.end());
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const auto &path : goldens) {
+        std::ifstream in(path, std::ios::binary);
+        const std::string bytes =
+            path.filename().string() + '\0' +
+            std::string(std::istreambuf_iterator<char>(in), {});
+        for (unsigned char c : bytes) {
+            h ^= c;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+TEST(ResultSchema, GoldenDigestPinned)
+{
+    // A golden moves only when served bytes move, and a store
+    // written before would keep replaying the old bytes: bump
+    // service::kResultSchemaVersion, then re-pin both numbers here.
+    EXPECT_EQ(service::kResultSchemaVersion, 2u);
+    EXPECT_EQ(goldenDigest(), 0x440427936e923d3aULL);
+}
+
+TEST(JobQueue, StoreKeysMonteCarloResultsByResolvedEngine)
+{
+    // A Monte-Carlo result depends on the decoder and the word
+    // backend, which the environment picks, not the params.  A
+    // result stored under one environment must not answer another.
+    EnvGuard decoderGuard("TRAQ_DECODER");
+    EnvGuard backendGuard("TRAQ_WORD_BACKEND");
+    EnvGuard predecodeGuard("TRAQ_PREDECODE");
+    EnvGuard cacheGuard("TRAQ_CACHE_FILE");
+    unsetenv("TRAQ_PREDECODE");
+    unsetenv("TRAQ_CACHE_FILE");
+    const est::EstimateRequest req{"mc-logical-error",
+                                   {{"distance", 3},
+                                    {"p", 0.003},
+                                    {"shots", 20000},
+                                    {"seed", 7}}};
+    service::JobQueueStats stats;
+    auto serve = [&](const std::string &cacheFile) {
+        service::JobQueueOptions o;
+        o.threads = 1;
+        o.cacheFile = cacheFile;
+        service::JobService q(o);
+        const std::string out = q.wait(q.submit(req)).toJson();
+        stats = q.stats();
+        return out;
+    };
+
+    TempFile file;
+    ASSERT_EQ(setenv("TRAQ_DECODER", "union-find", 1), 0);
+    ASSERT_EQ(setenv("TRAQ_WORD_BACKEND", "scalar64", 1), 0);
+    const std::string stored = serve(file.path());
+    EXPECT_EQ(est::resultFromJson(stored).metric("wordLanes"), 1.0);
+
+    unsetenv("TRAQ_DECODER");
+    unsetenv("TRAQ_WORD_BACKEND");
+    const std::string fresh = serve("");
+    const std::string restarted = serve(file.path());
+    EXPECT_EQ(stats.evaluated, 1u);
+    EXPECT_EQ(stats.persistentHits, 0u);
+    EXPECT_EQ(restarted, fresh);
+    EXPECT_NE(restarted, stored);
+    const est::EstimateResult res = est::resultFromJson(fresh);
+    EXPECT_EQ(res.metric("hits"), 132.0);
+    EXPECT_EQ(res.metric("wordLanes"), 8.0);
 }
 
 TEST(JobQueue, PersistentRestartServesIdenticalBytes)

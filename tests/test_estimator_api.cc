@@ -12,6 +12,10 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "src/common/assert.hh"
 #include "src/common/serialize.hh"
@@ -19,6 +23,7 @@
 #include "src/common/threads.hh"
 #include "src/estimator/optimizer.hh"
 #include "src/estimator/sweep.hh"
+#include "src/noise/noise.hh"
 
 namespace traq::est {
 namespace {
@@ -127,6 +132,14 @@ TEST(EstimatorApi, ReactionTimeSplitsEvenly)
          {{"atom.measureTime", 1e-3}, {"atom.decodeTime", 1e-3}}});
     EXPECT_EQ(joint.metric("totalSeconds"),
               split.metric("totalSeconds"));
+    // Given with its halves, the reaction time wins over them.
+    EstimateResult both = e->estimate(
+        {"factoring",
+         {{"atom.reactionTime", 2e-3},
+          {"atom.measureTime", 5e-3},
+          {"atom.decodeTime", 7e-3}}});
+    EXPECT_EQ(both.metric("totalSeconds"),
+              joint.metric("totalSeconds"));
 }
 
 TEST(EstimatorApi, ChemistryMatchesFreeFunction)
@@ -182,6 +195,70 @@ TEST(EstimatorApi, UnknownParameterThrows)
         makeEstimator("qldpc-storage")
             ->estimate({"qldpc-storage", {{"bogus", 1.0}}}),
         FatalError);
+}
+
+/** The names an unknown-name error lists after "(known:". */
+std::vector<std::string>
+knownNames(const std::string &message)
+{
+    const std::size_t at = message.find("(known:");
+    const std::size_t end = message.rfind(')');
+    if (at == std::string::npos || end < at)
+        return {};
+    return splitWhitespace(message.substr(at + 7, end - at - 7));
+}
+
+/** The README.md table row that starts with `key`. */
+std::string
+readmeRow(const std::string &key)
+{
+    std::ifstream in(std::string(TRAQ_SOURCE_DIR) + "/README.md");
+    const std::string prefix = "| `" + key + "` |";
+    for (std::string line; std::getline(in, line);)
+        if (line.rfind(prefix, 0) == 0)
+            return line;
+    return "";
+}
+
+/** Every name @p message lists as known is in @p key's README row. */
+void
+expectDocumented(const std::string &key, const std::string &message)
+{
+    const std::string row = readmeRow(key);
+    ASSERT_FALSE(row.empty()) << "README.md has no row for " << key;
+    const std::vector<std::string> names = knownNames(message);
+    EXPECT_FALSE(names.empty()) << message;
+    std::set<std::string> seen;
+    for (const std::string &name : names) {
+        EXPECT_TRUE(seen.insert(name).second)
+            << key << " reads '" << name << "' twice";
+        EXPECT_NE(row.find("`" + name + "`"), std::string::npos)
+            << "README.md row for " << key << " lacks " << name;
+    }
+}
+
+TEST(ParamReference, ReadmeRowsListEveryAcceptedName)
+{
+    const ParamMap bogus = {{"definitely-not-a-parameter", 1.0}};
+    for (const std::string &kind :
+         {"factoring", "chemistry", "gidney-ekera", "qldpc-storage",
+          "factory-design", "idle-storage", "mc-logical-error",
+          "mc-alpha"}) {
+        try {
+            makeEstimator(kind)->checkParams({kind, bogus});
+            ADD_FAILURE() << kind << " accepted an unknown name";
+        } catch (const FatalError &e) {
+            expectDocumented(kind, e.what());
+        }
+    }
+    for (const std::string &source : noise::registeredNoiseSources()) {
+        try {
+            (void)noise::makeNoiseSource({source, bogus});
+            ADD_FAILURE() << source << " accepted an unknown name";
+        } catch (const FatalError &e) {
+            expectDocumented(source, e.what());
+        }
+    }
 }
 
 TEST(EstimatorApi, CanonicalKeyDistinguishesRequests)

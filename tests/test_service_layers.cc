@@ -14,6 +14,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
@@ -175,7 +176,7 @@ TEST(Validation, CheckParamsCatchesEveryBuiltinKindStatically)
     auto pool = std::make_shared<service::EstimatorPool>();
     const service::Validator validator(pool, true);
     for (const std::string &kind :
-         {"factoring", "chemistry", "gidney-ekera",
+         {"factoring", "chemistry", "gidney-ekera", "qldpc-storage",
           "factory-design", "idle-storage", "mc-logical-error",
           "mc-alpha"}) {
         const service::Validated v = validator.validate(
@@ -183,21 +184,65 @@ TEST(Validation, CheckParamsCatchesEveryBuiltinKindStatically)
         EXPECT_FALSE(v.ok()) << kind;
         EXPECT_EQ(v.error.code, service::errc::param) << kind;
         EXPECT_NE(v.error.message.find(
-                      "unknown " + kind + " parameter"),
+                      "unknown " + kind +
+                      " parameter 'definitely-not-a-parameter' "
+                      "(known: "),
                   std::string::npos)
             << kind << ": " << v.error.message;
     }
-    // qldpc-storage forwards non-storage parameters to its inner
-    // factoring solve; the rejection is still a validation-time
-    // param error, with the inner kind's message.
-    const service::Validated qldpc = validator.validate(
-        {"qldpc-storage", {{"definitely-not-a-parameter", 1.0}}});
-    EXPECT_FALSE(qldpc.ok());
-    EXPECT_EQ(qldpc.error.code, service::errc::param);
-    EXPECT_NE(
-        qldpc.error.message.find("unknown factoring parameter"),
-        std::string::npos)
-        << qldpc.error.message;
+}
+
+/** The request must fail validation as a parameter error. */
+void
+expectParamError(const est::EstimateRequest &req)
+{
+    auto pool = std::make_shared<service::EstimatorPool>();
+    const service::Validated v =
+        service::Validator(pool, true).validate(req);
+    EXPECT_FALSE(v.ok()) << est::toJson(req);
+    EXPECT_EQ(v.error.code, service::errc::param)
+        << est::toJson(req) << ": " << v.error.message;
+}
+
+// Values and names that must fail at admission: evaluated, each
+// would come back as a plausible answer or fail only in a worker.
+
+TEST(Validation, RejectsIntegerBeyondItsField)
+{
+    expectParamError({"factoring", {{"distance", 1e300}}});
+}
+
+TEST(Validation, RejectsNonFiniteInteger)
+{
+    expectParamError({"factory-design",
+                      {{"forcedDistance",
+                        std::numeric_limits<double>::quiet_NaN()}}});
+}
+
+TEST(Validation, RejectsGidneyEkeraDistanceBelowThree)
+{
+    expectParamError({"gidney-ekera", {{"distance", -5}}});
+}
+
+TEST(Validation, RejectsNegativeCnotLayers)
+{
+    expectParamError({"mc-logical-error", {{"cnotLayers", -2}}});
+}
+
+TEST(Validation, RejectsNegativeRounds)
+{
+    expectParamError({"mc-logical-error", {{"rounds", -1}}});
+}
+
+TEST(Validation, RejectsUnknownNoiseParameter)
+{
+    expectParamError(
+        {"mc-logical-error", {{"noise.atom-loss.bogus", 0.1}}});
+}
+
+TEST(Validation, RejectsUnknownNoiseSource)
+{
+    expectParamError({"mc-logical-error", {{"noise.no-such.p", 0.1}}});
 }
 
 TEST(Validation, OutcomeCarriesTheErrorClass)
