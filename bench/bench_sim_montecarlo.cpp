@@ -19,15 +19,19 @@
  * decode memoization, the process-global syndrome memo and the MWPM
  * reach cache; the "hotpath-speedup-vs-pr7[...]" /
  * "decode-memo-hit-rate[...]" / "cross-batch-memo-hit-rate[...]"
- * lines record the wins), the compiled-artifact cache over a
+ * lines record the wins), the backward-sweep DEM builder against
+ * the forward reference builder on the d=7 benchmark circuits
+ * ("dem-build-speedup[...]"), the compiled-artifact cache over a
  * SweepRunner seed grid ("compile-cache-speedup[...]"), and the
  * sharded engine's thread scaling; the final
  * "parallel-efficiency@4" line is consumed by
  * scripts/perf_smoke.sh.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <utility>
 
 #include "src/codes/experiments.hh"
 #include "src/common/assert.hh"
@@ -38,6 +42,8 @@
 #include "src/decoder/monte_carlo.hh"
 #include "src/estimator/estimator.hh"
 #include "src/estimator/sweep.hh"
+#include "src/noise/noise.hh"
+#include "src/sim/dem.hh"
 #include "src/sim/frame.hh"
 
 namespace {
@@ -286,6 +292,52 @@ main()
         }
         std::printf("\n");
         h.print();
+    }
+
+    std::printf("\n=== DEM build: backward sweep vs forward reference, "
+                "d=7 benchmark circuits ===\n\n");
+    {
+        // Both builders run on the same circuit in this process, so
+        // the ratio is a same-run comparison, not a stored number.
+        // Each side is the median of three builds.
+        auto medianMs = [](auto &&build) {
+            double ms[3];
+            for (double &m : ms) {
+                const auto t0 = std::chrono::steady_clock::now();
+                build();
+                m = secondsSince(t0) * 1e3;
+            }
+            std::sort(std::begin(ms), std::end(ms));
+            return ms[1];
+        };
+        const auto uniform = codes::NoiseParams::uniform(1e-3);
+        codes::SurfaceCode sc7(7);
+        codes::TransversalCnotSpec cnot;
+        cnot.distance = 7;
+        cnot.cnotLayers = 8;
+        cnot.cnotsPerBatch = 2;
+        cnot.noise = uniform;
+        noise::NoiseSpec loss;
+        loss.setFlat("noise.atom-loss.p", 0.002);
+        const std::pair<const char *, sim::Circuit> fixtures[] = {
+            {"memory d=7",
+             codes::buildMemory(sc7, 'Z', 7, uniform).circuit},
+            {"cnot-loss d=7",
+             noise::NoiseModel::fromSpec(loss).compile(
+                 codes::buildTransversalCnot(cnot).circuit)},
+        };
+        for (const auto &[name, circuit] : fixtures) {
+            sim::DetectorErrorModel ref, fast;
+            const double refMs = medianMs(
+                [&] { ref = sim::buildDemReference(circuit); });
+            const double fastMs =
+                medianMs([&] { fast = sim::buildDem(circuit); });
+            TRAQ_REQUIRE(fast == ref,
+                         "buildDem differs from buildDemReference");
+            std::printf("dem-build-speedup[%s]: %.2fx (reference "
+                        "%.1f ms vs backward %.2f ms)\n",
+                        name, refMs / fastMs, refMs, fastMs);
+        }
     }
 
     std::printf("\n=== Compile cache: SweepRunner seed grid over a "

@@ -10,17 +10,20 @@ per-bench elapsed deltas, per-decoder decode-latency deltas,
 per-fixture hot-path speedup (vs the PR-7 generation), the
 caching-tier metrics (per-batch and cross-batch decode-memo hit
 rates, compile-cache sweep speedup, persistent-store warm-restart
-speedup), and the CPU dispatch level each run executed at (a
-dispatch change explains most wall-clock moves, so it is printed
-before the numbers).  Top-level keys this tool does
-not recognize are listed explicitly rather than silently dropped,
-so a perf_smoke.sh that starts recording something new is visible
-here the day it lands, not when someone updates this script.
+speedup), the DEM build speedup (backward sweep vs the forward
+reference builder, timed in the same run), and the CPU dispatch
+level each run executed at (a dispatch change explains most
+wall-clock moves, so it is printed before the numbers).  Top-level
+keys this tool does not recognize are listed explicitly rather than
+silently dropped, so a perf_smoke.sh that starts recording something
+new is visible here the day it lands, not when someone updates this
+script.
 
 It is a report, not a gate: the exit code is always 0 unless the
-inputs cannot be parsed.  The hard tripwire stays perf_smoke.sh's
-3x-baseline check; this exists so a human scanning CI output can see
-drift long before it trips that wire.
+inputs cannot be parsed.  The hard tripwires stay in perf_smoke.sh
+(the 3x-baseline check and the DEM build speedup floor); this
+exists so a human scanning CI output can see drift long before it
+trips a wire.
 
 Usage:
     scripts/perf_history_diff.py RECORD... [--full]
@@ -94,6 +97,7 @@ KNOWN_KEYS = {
     "decode_memo_hit_rate",
     "cross_batch_memo_hit_rate",
     "compile_cache_speedup",
+    "dem_build_speedup",
     "warm_restart_speedup",
     "stream_req_per_s",
     "stream_first_result_ms",
@@ -177,6 +181,9 @@ def print_diff(base: dict, head: dict) -> None:
     print_fixture_diff(
         base, head, "compile_cache_speedup", "speedup",
         "compile-cache sweep speedup (x)")
+    print_fixture_diff(
+        base, head, "dem_build_speedup", "speedup",
+        "DEM build speedup, backward sweep vs forward reference (x)")
 
     eff_b = base.get("parallel_efficiency_at_4")
     eff_h = head.get("parallel_efficiency_at_4")

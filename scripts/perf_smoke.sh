@@ -6,7 +6,11 @@
 # (N-thread vs 1-thread speedup reported by bench_sim_montecarlo as
 # "parallel-efficiency@4") and warns when it drops under
 # EFF_WARN_THRESHOLD — a warning, not a failure, because CI runners
-# and laptops legitimately have fewer than 4 cores.
+# and laptops legitimately have fewer than 4 cores.  It also gates
+# the DEM build: bench_sim_montecarlo times the backward-sweep
+# builder against the forward reference builder on the same circuits
+# in the same process ("dem-build-speedup[...]"), and the check fails
+# when that ratio drops under DEM_SPEEDUP_MIN.
 #
 # Usage: scripts/perf_smoke.sh [build-dir]
 #
@@ -16,8 +20,8 @@
 # at, the end-to-end hot-path speedup vs the PR-7 generation
 # (baseline kernels + scalar extract, no memo/reach-cache), the
 # per-batch and cross-batch (process-global tier) decode-memo hit
-# rates and the compiled-artifact cache speedup from
-# bench_sim_montecarlo, the persistent-store
+# rates, the compiled-artifact cache speedup and the DEM build
+# speedup from bench_sim_montecarlo, the persistent-store
 # warm-restart speedup from bench_service_throughput, and the
 # per-decoder decode-latency lines from bench_decoder_throughput —
 # is written there as one JSON document; CI uploads it as a dated
@@ -34,6 +38,7 @@ BUILD_DIR="${1:-build}"
 BASELINE_FILE="$(dirname "$0")/../bench/perf_baseline.txt"
 MARGIN=3
 EFF_WARN_THRESHOLD=0.6
+DEM_SPEEDUP_MIN=5
 
 fail=0
 outfile=$(mktemp)
@@ -47,6 +52,8 @@ speedup_lines=""
 memo_json=""
 cross_memo_json=""
 compile_cache_json=""
+dem_speedup_json=""
+dem_speedups=""
 warm_restart=""
 stream_rps=""
 stream_first_ms=""
@@ -114,6 +121,15 @@ while read -r name baseline; do
             split($3, f, " "); sub(/x$/, "", f[2]);
             printf "%s{\"fixture\": \"%s\", \"speedup\": %s}",
                 (n++ ? ", " : ""), $2, f[2] }' "$outfile")
+        # dem-build-speedup[<fixture>]: <X.XX>x (...)
+        dem_speedup_json=$(awk -F'[][]' \
+            '/^dem-build-speedup\[/ {
+            split($3, f, " "); sub(/x$/, "", f[2]);
+            printf "%s{\"fixture\": \"%s\", \"speedup\": %s}",
+                (n++ ? ", " : ""), $2, f[2] }' "$outfile")
+        dem_speedups=$(awk -F'[][]' '/^dem-build-speedup\[/ {
+            split($3, f, " "); sub(/x$/, "", f[2]);
+            printf "%s %s\n", f[2], $2 }' "$outfile")
         speedup_lines=$(awk -F'[][]' \
             '/^hotpath-speedup-vs-pr7\[/ { split($3, f, " ");
             printf "perf-smoke: OK   hotpath-speedup-vs-pr7[%s] =\
@@ -171,6 +187,25 @@ if [[ -n "$speedup_lines" ]]; then
     echo "$speedup_lines"
 fi
 
+# DEM build: backward sweep vs the forward reference, same run.
+if [[ -n "$dem_speedups" ]]; then
+    while read -r speedup fixture; do
+        if awk -v s="$speedup" -v m="$DEM_SPEEDUP_MIN" \
+            'BEGIN { exit !(s < m) }'; then
+            echo "perf-smoke: FAIL dem-build-speedup[$fixture] =" \
+                 "${speedup}x (< ${DEM_SPEEDUP_MIN}x)" >&2
+            fail=1
+        else
+            echo "perf-smoke: OK   dem-build-speedup[$fixture] =" \
+                 "${speedup}x (min ${DEM_SPEEDUP_MIN}x)"
+        fi
+    done <<< "$dem_speedups"
+else
+    echo "perf-smoke: FAIL no dem-build-speedup lines from" \
+         "bench_sim_montecarlo" >&2
+    fail=1
+fi
+
 # Caching tiers (informational; the hard gates are the bench-level
 # target lines and the test suite's bit-identity checks).
 if [[ -n "$warm_restart" ]]; then
@@ -206,6 +241,7 @@ if [[ -n "${PERF_HISTORY_JSON:-}" ]]; then
         echo "  \"decode_memo_hit_rate\": [$memo_json],"
         echo "  \"cross_batch_memo_hit_rate\": [$cross_memo_json],"
         echo "  \"compile_cache_speedup\": [$compile_cache_json],"
+        echo "  \"dem_build_speedup\": [$dem_speedup_json],"
         echo "  \"warm_restart_speedup\": ${warm_restart:-null},"
         echo "  \"stream_req_per_s\": ${stream_rps:-null},"
         echo "  \"stream_first_result_ms\":" \

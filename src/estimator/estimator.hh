@@ -33,6 +33,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/assert.hh"
 #include "src/common/json.hh"
 #include "src/estimator/baselines.hh"
 #include "src/estimator/chemistry.hh"
@@ -115,6 +116,19 @@ EstimateResult resultFromJson(const json::Value &v);
 /** Parse a result from JSON text. */
 EstimateResult resultFromJson(std::string_view text);
 
+/**
+ * A FatalError that comes from resolving process state (an
+ * environment variable such as TRAQ_DECODER) rather than from the
+ * request.  It carries the resolver's message unchanged.  The service
+ * answers it like any rejection but never persists it: the same
+ * request is valid once the environment is fixed.
+ */
+class EnvironmentError : public FatalError
+{
+  public:
+    using FatalError::FatalError;
+};
+
 /** Abstract resource estimator. */
 class Estimator
 {
@@ -140,7 +154,8 @@ class Estimator
      * inconsistent specification.  Built-ins run the read function
      * estimate() runs; the key is canonicalKey(req) plus any process
      * state the result depends on, as resolved now (the Monte-Carlo
-     * kinds' decoder and word backend).  The default accepts
+     * kinds' decoder and word backend); a value the environment
+     * cannot resolve throws EnvironmentError.  The default accepts
      * everything and returns canonicalKey(req) — kinds whose
      * parameter space is not statically checkable defer to
      * estimate(), and the service validation layer then reports

@@ -29,6 +29,20 @@ resolvedEngineKey(decoder::DecoderKind kind, WordBackend backend)
     return key;
 }
 
+/** resolve(), with a FatalError from it rethrown as the
+ *  EnvironmentError it is: everything it resolves comes from the
+ *  environment, since the request was read before. */
+template <class Resolve>
+std::string
+fromEnvironment(Resolve &&resolve)
+{
+    try {
+        return resolve();
+    } catch (const FatalError &e) {
+        throw EnvironmentError(e.what());
+    }
+}
+
 class McLogicalErrorEstimator : public Estimator
 {
   public:
@@ -43,12 +57,13 @@ class McLogicalErrorEstimator : public Estimator
     std::string checkParams(const EstimateRequest &req) const override
     {
         const McSimSpec spec = specFor(req.params);
-        return canonicalKey(req) +
-               resolvedEngineKey(spec.mc.decoder,
-                                 spec.mc.wordBackend) +
-               (decoder::resolvePredecode(spec.mc.predecode)
-                    ? ";predecode=1"
-                    : ";predecode=0");
+        return canonicalKey(req) + fromEnvironment([&] {
+                   return resolvedEngineKey(spec.mc.decoder,
+                                            spec.mc.wordBackend) +
+                          (decoder::resolvePredecode(spec.mc.predecode)
+                               ? ";predecode=1"
+                               : ";predecode=0");
+               });
     }
 
     EstimateResult estimate(const EstimateRequest &req) const override
@@ -289,8 +304,10 @@ class McAlphaEstimator : public Estimator
     std::string checkParams(const EstimateRequest &req) const override
     {
         const McAlphaSpec spec = specFor(req.params);
-        return canonicalKey(req) +
-               resolvedEngineKey(spec.decoder, WordBackend::Auto);
+        return canonicalKey(req) + fromEnvironment([&] {
+                   return resolvedEngineKey(spec.decoder,
+                                            WordBackend::Auto);
+               });
     }
 
   private:

@@ -74,6 +74,9 @@ bool jobStateTerminal(JobState s);
  *   shape    — parseable JSON, wrong shape for an EstimateRequest
  *   kind     — no estimator registered for the kind
  *   param    — the kind rejected a parameter name or value
+ *   env      — the kind could not resolve the environment it reads
+ *              (TRAQ_DECODER, TRAQ_WORD_BACKEND, TRAQ_PREDECODE);
+ *              cached in memory, never persisted
  *   estimate — the evaluation itself threw FatalError
  *   system   — transient std::exception (bad_alloc, ...); never
  *              cached
@@ -83,6 +86,7 @@ inline constexpr const char *json = "json";
 inline constexpr const char *shape = "shape";
 inline constexpr const char *kind = "kind";
 inline constexpr const char *param = "param";
+inline constexpr const char *env = "env";
 inline constexpr const char *estimate = "estimate";
 inline constexpr const char *system = "system";
 } // namespace errc

@@ -132,10 +132,12 @@ Scheduler::admit(Validated ticket)
         ++stats_.evaluated;
         jobs_.push_back(entry);
         if (!ticket.error.empty()) {
-            // Deterministic validation rejection: terminal at
-            // admission, cached and persisted exactly like an
-            // evaluation-time FatalError was in the monolithic
-            // queue (same counters, same message bytes).
+            // Validation rejection: terminal at admission, cached
+            // and persisted exactly like an evaluation-time
+            // FatalError was in the monolithic queue (same
+            // counters, same message bytes).  A rejection caused by
+            // the environment is not persisted: a restart under a
+            // fixed environment must evaluate the request.
             entry->state.step(JobState::Failed);
             entry->outcome.ok = false;
             entry->outcome.error = ticket.error.message;
@@ -144,7 +146,8 @@ Scheduler::admit(Validated ticket)
             terminalAtAdmit = true;
             ++stats_.failed;
             completed_.push_back(id);
-            if (store_.attached() && !entry->key.empty())
+            if (store_.attached() && !entry->key.empty() &&
+                ticket.error.code != errc::env)
                 persist = entry->outcome.toJson();
         } else {
             entry->state.step(JobState::Validated);

@@ -68,6 +68,8 @@ Validator::validate(est::EstimateRequest req) const
         if (computeKey_)
             v.key = std::move(key);
         return v;
+    } catch (const est::EnvironmentError &e) {
+        v.error = {errc::env, e.what()};
     } catch (const FatalError &e) {
         v.error = {stage, e.what()};
     }

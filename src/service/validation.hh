@@ -30,7 +30,9 @@
  * Both outcomes are admitted to the scheduler — deterministic
  * validation failures are cached and persisted exactly like
  * evaluation failures were in the monolithic JobQueue, so stats
- * counters and golden output bytes are unchanged.
+ * counters and golden output bytes are unchanged.  The exception is
+ * a failure to resolve the environment a kind reads (errc::env, from
+ * est::EnvironmentError): it is cached but never persisted.
  */
 
 #ifndef TRAQ_SERVICE_VALIDATION_HH
@@ -125,7 +127,9 @@ class Validator
      * back as a Validated carrying the structured error — with the
      * exact message estimate() would have produced — because
      * deterministic validation failures are admitted, cached, and
-     * persisted like any other outcome.  Kinds whose checkParams is
+     * persisted like any other outcome.  An environment the kind
+     * cannot resolve comes back as errc::env, which the scheduler
+     * does not persist.  Kinds whose checkParams is
      * the accept-everything default defer bad parameters to
      * evaluation (errc::estimate, assigned by the scheduler).
      */

@@ -4,11 +4,32 @@
  *
  * Decomposes every noise channel in a circuit into independent Pauli
  * error components (X_ERROR -> {X}, DEPOLARIZE1 -> {X,Y,Z} at p/3,
- * DEPOLARIZE2 -> 15 two-qubit components at p/15), symbolically
- * propagates each component through the remainder of the circuit, and
- * records which detectors it flips and which logical observables it
- * toggles.  Components with identical symptoms are merged with
+ * DEPOLARIZE2 -> 15 two-qubit components at p/15), finds which
+ * detectors each component flips and which logical observables it
+ * toggles, and merges components with identical symptoms by
  * XOR-probability combination.
+ *
+ * buildDem finds the symptoms in one backward sweep over the circuit
+ * (the method of Stim's error analyzer, Gidney 2021,
+ * arXiv:2103.02202).  It keeps each qubit's X- and Z-flip
+ * sensitivity: the detector XOR-set and observable mask that a flip
+ * of that qubit at the current point would toggle.  Each instruction
+ * updates them by the transpose of its frame rule (CX(a,b):
+ * sX[a] ^= sX[b], sZ[b] ^= sZ[a]; MR: sX = the measurement's
+ * symptoms; R/RX: both cleared), walking its targets in reverse, and
+ * a noise component's symptoms are the XOR of its qubits'
+ * sensitivities at its site.  The sweep interns each component's
+ * symptoms to a mechanism id as it finds them; probabilities are
+ * then XOR-combined over those ids in forward order (instruction,
+ * then target, then component), so every probability rounds exactly
+ * as in a forward build.  Cost: O(instructions x sensitivity size +
+ * components x symptom size).
+ *
+ * buildDemReference is the forward builder: it pushes every
+ * component through the rest of the circuit, at O(components x
+ * instructions) cost.  It is kept as the oracle that tests and
+ * bench_sim_montecarlo compare buildDem against; nothing else calls
+ * it.
  *
  * The output is the exact analogue of Stim's DEM and is what the
  * decoding-graph builder consumes.  Correlated decoding of transversal
@@ -42,6 +63,8 @@ struct ErrorMechanism
      * turns into per-shot erasure reweighting.
      */
     std::vector<std::uint32_t> channels;
+
+    bool operator==(const ErrorMechanism &) const = default;
 };
 
 /** The full error model of one circuit. */
@@ -51,10 +74,13 @@ struct DetectorErrorModel
     std::uint32_t numObservables = 0;
     /** Herald channels of the source circuit (see Circuit). */
     std::uint32_t numHeraldChannels = 0;
+    /** Sorted by detectors (lexicographically), then observables. */
     std::vector<ErrorMechanism> errors;
 
     /** Sum of error probabilities (expected symptom count scale). */
     double totalErrorWeight() const;
+
+    bool operator==(const DetectorErrorModel &) const = default;
 };
 
 /**
@@ -66,6 +92,14 @@ struct DetectorErrorModel
  */
 DetectorErrorModel buildDem(const Circuit &circuit,
                             bool discardInvisible = true);
+
+/**
+ * The forward builder: same contract and byte-identical output as
+ * buildDem, at O(components x instructions) cost.  A test and bench
+ * oracle only.
+ */
+DetectorErrorModel buildDemReference(const Circuit &circuit,
+                                     bool discardInvisible = true);
 
 } // namespace traq::sim
 

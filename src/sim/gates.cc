@@ -43,15 +43,26 @@ constexpr std::array<GateInfo, 27> kGateTable = {{
                        false, false, false, false, false, true},
 }};
 
+constexpr bool
+tableInEnumOrder()
+{
+    for (std::size_t i = 0; i < kGateTable.size(); ++i)
+        if (static_cast<std::size_t>(kGateTable[i].gate) != i)
+            return false;
+    return true;
+}
+static_assert(tableInEnumOrder(),
+              "kGateTable rows must follow the Gate enum order");
+
 } // namespace
 
 const GateInfo &
 gateInfo(Gate g)
 {
-    for (const auto &info : kGateTable)
-        if (info.gate == g)
-            return info;
-    TRAQ_PANIC("unknown gate kind");
+    const auto i = static_cast<std::size_t>(g);
+    if (i >= kGateTable.size())
+        TRAQ_PANIC("unknown gate kind");
+    return kGateTable[i];
 }
 
 std::optional<Gate>

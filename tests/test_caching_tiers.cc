@@ -13,8 +13,9 @@
  *  - tier 3, the persistent content-addressed store (CaStore +
  *    JobService cache file): round-trip and reopen, loud TRAQ_FATAL-
  *    free recovery from truncated and corrupted files, loud failure
- *    on an unopenable path, and a restarted queue serving the same
- *    bytes from the persistent tier alone.
+ *    on an unopenable path, a restarted queue serving the same
+ *    bytes from the persistent tier alone, and rejections caused by
+ *    the environment never reaching the store.
  *
  * Same contract as tests/test_cpu_dispatch.cc: throughput knobs may
  * change *when* work happens, never what comes out.
@@ -31,6 +32,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -38,6 +40,7 @@
 #include "src/codes/experiments.hh"
 #include "src/common/assert.hh"
 #include "src/common/castore.hh"
+#include "src/common/word.hh"
 #include "src/decoder/compile_cache.hh"
 #include "src/decoder/decoder.hh"
 #include "src/decoder/global_memo.hh"
@@ -617,6 +620,72 @@ TEST(JobQueue, StoreKeysMonteCarloResultsByResolvedEngine)
     const est::EstimateResult res = est::resultFromJson(fresh);
     EXPECT_EQ(res.metric("hits"), 132.0);
     EXPECT_EQ(res.metric("wordLanes"), 8.0);
+}
+
+TEST(JobQueue, EnvironmentRejectionsAreNeverPersisted)
+{
+    // A value TRAQ_DECODER, TRAQ_WORD_BACKEND or TRAQ_PREDECODE
+    // cannot resolve rejects a Monte-Carlo request with the
+    // resolver's message, but the store must not keep it: a restart
+    // under another bad value reports that value, and one under a
+    // fixed environment evaluates.
+    EnvGuard decoderGuard("TRAQ_DECODER");
+    EnvGuard backendGuard("TRAQ_WORD_BACKEND");
+    EnvGuard predecodeGuard("TRAQ_PREDECODE");
+    EnvGuard cacheGuard("TRAQ_CACHE_FILE");
+    unsetenv("TRAQ_CACHE_FILE");
+    const est::EstimateRequest req{
+        "mc-logical-error",
+        {{"distance", 3}, {"shots", 64}, {"seed", 7}}};
+    const std::pair<const char *, void (*)()> resolvers[] = {
+        {"TRAQ_DECODER",
+         [] { decoder::resolveDecoderKind(decoder::McOptions{}.decoder); }},
+        {"TRAQ_WORD_BACKEND",
+         [] { resolveWordBackend(WordBackend::Auto); }},
+        {"TRAQ_PREDECODE", [] { decoder::resolvePredecode(-1); }},
+    };
+    for (const auto &[var, resolve] : resolvers) {
+        unsetenv("TRAQ_DECODER");
+        unsetenv("TRAQ_WORD_BACKEND");
+        unsetenv("TRAQ_PREDECODE");
+        TempFile file;
+        service::JobQueueStats stats;
+        auto serve = [&](const char *value) {
+            if (value)
+                setenv(var, value, 1);
+            else
+                unsetenv(var);
+            service::JobQueueOptions o;
+            o.threads = 1;
+            o.cacheFile = file.path();
+            service::JobService q(o);
+            const std::string out = q.wait(q.submit(req)).toJson();
+            stats = q.stats();
+            return out;
+        };
+
+        // The answer carries the resolver's own message bytes.
+        const std::string first = serve("bogus");
+        std::string message;
+        try {
+            resolve();
+        } catch (const FatalError &e) {
+            message = e.what();
+        }
+        EXPECT_NE(message.find("'bogus'"), std::string::npos) << var;
+        EXPECT_EQ(first.rfind("{\"error\":", 0), 0u) << var;
+        EXPECT_NE(first.find(message), std::string::npos) << first;
+        EXPECT_EQ(stats.failed, 1u) << var;
+
+        const std::string second = serve("bogus2");
+        EXPECT_NE(second.find("'bogus2'"), std::string::npos) << second;
+        EXPECT_EQ(stats.evaluated, 1u) << var;
+        EXPECT_EQ(stats.persistentHits, 0u) << var;
+
+        const std::string fixed = serve(nullptr);
+        EXPECT_EQ(fixed.rfind("{\"kind\":", 0), 0u) << fixed;
+        EXPECT_EQ(stats.persistentHits, 0u) << var;
+    }
 }
 
 TEST(JobQueue, PersistentRestartServesIdenticalBytes)

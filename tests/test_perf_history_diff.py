@@ -9,6 +9,8 @@ the report contract:
   - per-decoder decode-latency deltas,
   - the caching-tier metrics (per-batch and cross-batch memo hit
     rates, compile-cache and warm-restart speedups),
+  - the same-run DEM build speedup per fixture, including a fixture
+    only the newer record has,
   - unrecognized top-level keys are listed explicitly, never
     silently dropped,
   - the exit code is 0 for every well-formed input (it is a report,
@@ -80,6 +82,13 @@ class PerfHistoryDiffTest(unittest.TestCase):
         self.assertIn("compile-cache sweep speedup", out)
         self.assertRegex(out, r"mc-sweep d=5\s+4\.800 ->\s+5\.400")
         self.assertIn("warm-restart-speedup (x): 11.0 -> 12.5", out)
+
+    def test_dem_build_speedup(self):
+        out = self.diff_output()
+        self.assertIn("DEM build speedup, backward sweep vs forward", out)
+        self.assertRegex(out, r"memory d=7\s+30\.500 ->\s+27\.400\s+-10\.2%")
+        self.assertRegex(out, r"cnot-loss d=7\s+added")
+        self.assertNotIn("dem_build_speedup,", out)
 
     def test_dispatch_change_flagged(self):
         out = self.diff_output()
