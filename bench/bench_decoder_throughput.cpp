@@ -18,7 +18,7 @@
  * "@d7" suffix), which scripts/perf_smoke.sh archives into the CI
  * perf-history artifact.
  * Each kind is timed four ways on the same accepted shots: the
- * per-shot decode() loop, one decodeBatchSorted() call with the memo
+ * per-shot decodeSpan() loop, one decodeBatchSorted() call with the memo
  * off over the packed CSR syndromes (MWPM reach cache on — the
  * default — and off, so the "no cache" column isolates the
  * Dijkstra-sharing win), and the same call with the predecode
@@ -138,7 +138,7 @@ usPerShot(decoder::Decoder &dec, const Fixture &f,
     std::vector<const std::vector<std::uint32_t> *> accepted;
     for (const auto &syn : f.syndromes) {
         try {
-            dec.decode(syn);
+            dec.decodeSpan(syn);
             accepted.push_back(&syn);
             if (batch)
                 batch->add(syn);
@@ -153,7 +153,7 @@ usPerShot(decoder::Decoder &dec, const Fixture &f,
     dec.reset();
     const auto t0 = std::chrono::steady_clock::now();
     for (const auto *syn : accepted)
-        dec.decode(*syn);
+        dec.decodeSpan(*syn);
     const double secs = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();

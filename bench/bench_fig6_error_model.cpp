@@ -33,7 +33,8 @@ main()
     std::printf("=== Fig. 6(a): Eq. (4) fit to transversal-CNOT "
                 "data ===\n\n");
     auto data = referenceRef17Data();
-    CnotFit fit = fitCnotModel(data, /*fixLambda=*/20.0);
+    CnotFit fit =
+        fitCnotAnsatz(data, CnotFitOptions{.fixLambda = 20.0});
     std::printf("fit at fixed Lambda_MLE = 20: alpha = %.3f "
                 "(paper: 1/6 = 0.167), C = %.3f, rms log-residual = "
                 "%.3f\n\n",

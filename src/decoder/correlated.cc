@@ -13,7 +13,9 @@ CorrelatedDecoder::CorrelatedDecoder(const DecodeGraph &graph,
     // but does get the reach cache: the first matching pass runs
     // under the default context, where cached searches apply; the
     // reweighted second pass bypasses the cache automatically.
-    : graph_(graph),
+    : Decoder(graph, resolvePredecode(config.predecode),
+              config.predecodeRadius),
+      graph_(graph),
       inner_(graph, config.mwpmMaxDefects, /*predecode=*/false,
              /*predecodeRadius=*/2, resolveReachCache(config.reachCache))
 {
@@ -21,31 +23,15 @@ CorrelatedDecoder::CorrelatedDecoder(const DecodeGraph &graph,
                      config.correlationBoost <= 0.5,
                  "correlationBoost must be in (0, 0.5]");
     boostCap_ = config.correlationBoost;
-    if (resolvePredecode(config.predecode))
-        pre_ = std::make_unique<Predecoder>(graph_,
-                                            config.predecodeRadius);
     weights_.reserve(graph_.edges().size());
     for (const auto &e : graph_.edges())
         weights_.push_back(e.weight);
 }
 
 std::uint32_t
-CorrelatedDecoder::decode(const std::vector<std::uint32_t> &syndrome)
-{
-    return decodeEx(syndrome, {}, nullptr);
-}
-
-std::uint32_t
-CorrelatedDecoder::decodeSpan(
-    std::span<const std::uint32_t> syndrome)
-{
-    return decodeEx(syndrome, {}, nullptr);
-}
-
-std::uint32_t
-CorrelatedDecoder::decodeEx(
-    std::span<const std::uint32_t> syndrome,
-    const DecodeContext &ctx, std::vector<std::uint32_t> *usedEdges)
+CorrelatedDecoder::decodeWithContext(
+    std::span<const std::uint32_t> syndrome, const DecodeContext &ctx,
+    std::vector<std::uint32_t> *usedEdges)
 {
     if (syndrome.empty())
         return 0;
@@ -71,24 +57,20 @@ CorrelatedDecoder::decodeEx(
     // peeled pair — always decodes the full syndrome, so its result
     // is identical to predecode-off by construction.
     used_.clear();
-    std::uint32_t preCorrection = 0;
     std::span<const std::uint32_t> syn = syndrome;
-    if (pre_ && !hasOverride) {
-        preCorrection = pre_->peel(syndrome, ctx, residue_,
-                                   &used_);
-        syn = residue_;
-    }
+    const std::uint32_t preCorrection = peelPairs(syn, ctx, &used_);
 
     if (graph_.numPartnerLinks() == 0) {
         // No correlation hints (e.g. hand-built DEMs): one pass.
         if (usedEdges)
             usedEdges->insert(usedEdges->end(), used_.begin(),
                               used_.end());
-        return preCorrection ^ inner_.decodeEx(syn, ctx, usedEdges);
+        return preCorrection ^
+               inner_.decodeWithContext(syn, ctx, usedEdges);
     }
 
     const std::uint32_t first =
-        preCorrection ^ inner_.decodeEx(syn, ctx, &used_);
+        preCorrection ^ inner_.decodeWithContext(syn, ctx, &used_);
     // Two matched paths can share an edge; each distinct edge is one
     // piece of evidence, not one per traversal.
     std::sort(used_.begin(), used_.end());
@@ -145,7 +127,7 @@ CorrelatedDecoder::decodeEx(
     DecodeContext second = ctx;
     second.weights = *wp;
     const std::uint32_t correction =
-        inner_.decodeEx(syndrome, second, usedEdges);
+        inner_.decodeWithContext(syndrome, second, usedEdges);
     for (std::uint32_t q : touched_)
         weights_[q] = graph_.edges()[q].weight;
     return correction;

@@ -31,14 +31,12 @@
 #define TRAQ_DECODER_CORRELATED_HH
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "src/decoder/decode_graph.hh"
 #include "src/decoder/decoder.hh"
 #include "src/decoder/fallback.hh"
-#include "src/decoder/predecode.hh"
 
 namespace traq::decoder {
 
@@ -48,12 +46,6 @@ class CorrelatedDecoder final : public Decoder
   public:
     CorrelatedDecoder(const DecodeGraph &graph,
                       const DecoderConfig &config);
-
-    std::uint32_t
-    decode(const std::vector<std::uint32_t> &syndrome) override;
-
-    std::uint32_t
-    decodeSpan(std::span<const std::uint32_t> syndrome) override;
 
     /**
      * Context-aware decode: the round horizon (if any) applies to
@@ -65,34 +57,27 @@ class CorrelatedDecoder final : public Decoder
      * join the first pass's evidence, so partner reweighting sees
      * the same mechanisms either way (peeling is skipped under an
      * override, matching the other decoders).
+     *
+     * usedEdges receives the edges of the pass whose correction is
+     * returned — except when no partner edge was boosted: the first
+     * pass is then returned and no edges are appended.
      */
     std::uint32_t
-    decodeEx(std::span<const std::uint32_t> syndrome,
-             const DecodeContext &ctx,
-             std::vector<std::uint32_t> *usedEdges);
-
-    std::uint32_t
     decodeWithContext(std::span<const std::uint32_t> syndrome,
-                      const DecodeContext &ctx) override
-    {
-        return decodeEx(syndrome, ctx, nullptr);
-    }
+                      const DecodeContext &ctx,
+                      std::vector<std::uint32_t> *usedEdges =
+                          nullptr) override;
 
     void reset() override
     {
+        Decoder::reset();
         inner_.reset();
         secondPasses_ = 0;
-        if (pre_)
-            pre_->reset();
     }
     const char *name() const override { return "correlated"; }
     std::uint64_t fallbacks() const override
     {
         return inner_.fallbacks();
-    }
-    std::uint64_t predecodedPairs() const override
-    {
-        return pre_ ? pre_->pairsPeeled() : 0;
     }
 
     /** Second passes actually run (some partner edge reweighted). */
@@ -101,8 +86,6 @@ class CorrelatedDecoder final : public Decoder
   private:
     const DecodeGraph &graph_;
     FallbackDecoder inner_;
-    std::unique_ptr<Predecoder> pre_;
-    std::vector<std::uint32_t> residue_;  //!< post-peel syndrome
     double boostCap_;               //!< posterior probability ceiling
     std::vector<double> weights_;   //!< base weights, patched per shot
     std::vector<double> ovWeights_; //!< override-base scratch

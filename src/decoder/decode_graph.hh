@@ -268,9 +268,6 @@ class DecodeGraph
     std::uint64_t contentHash_ = 0;
 };
 
-/** Back-compat alias for the pre-refactor name. */
-using DecodingGraph = DecodeGraph;
-
 } // namespace traq::decoder
 
 #endif // TRAQ_DECODER_DECODE_GRAPH_HH

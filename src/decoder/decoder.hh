@@ -30,6 +30,7 @@
 
 #include "src/common/assert.hh"
 #include "src/decoder/decode_graph.hh"
+#include "src/decoder/predecode.hh"
 
 namespace traq::decoder {
 
@@ -222,55 +223,52 @@ struct SyndromeBatch
     }
 };
 
-/** Abstract decoder over a fixed decode graph. */
+/**
+ * Abstract decoder over a fixed decode graph.  A decoder kind
+ * implements decodeWithContext() and name(); decodeSpan() and the
+ * batch path both route through decodeWithContext().
+ *
+ * The predecode peeler lives here, once for every kind: a kind that
+ * supports it passes the switch to the protected constructor and
+ * calls peelPairs() at the point of its decode where the residue
+ * takes over.  Composites construct their inner stages without it,
+ * so a syndrome is peeled at most once.
+ */
 class Decoder
 {
   public:
     virtual ~Decoder() = default;
+    Decoder(const Decoder &) = delete;
+    Decoder &operator=(const Decoder &) = delete;
 
     /**
-     * Decode one syndrome (flipped detector ids, ascending).
+     * Decode one syndrome (flipped detector ids, ascending) under
+     * per-shot context overrides: per-edge weights (decodeBatchSorted
+     * hands in an erasure-aware shot's herald-zeroed weights) and/or
+     * a round horizon.  If usedEdges is non-null, the graph edges of
+     * the correction are appended to it; a kind that cannot report
+     * them says so in its override.
      * @return predicted logical-observable flip mask.
      */
     virtual std::uint32_t
-    decode(const std::vector<std::uint32_t> &syndrome) = 0;
+    decodeWithContext(std::span<const std::uint32_t> syndrome,
+                      const DecodeContext &ctx,
+                      std::vector<std::uint32_t> *usedEdges = nullptr) = 0;
 
-    /**
-     * Span-based decode, bit-identical to decode().  The base
-     * implementation copies into a reused scratch vector and calls
-     * decode(), so subclasses that only override decode() (external
-     * registrations, test doubles) keep working; the built-in
-     * decoders override this to skip the copy.
-     */
-    virtual std::uint32_t
+    /** Decode one syndrome on the graph's own weights. */
+    std::uint32_t
     decodeSpan(std::span<const std::uint32_t> syndrome)
     {
-        spanScratch_.assign(syndrome.begin(), syndrome.end());
-        return decode(spanScratch_);
+        return decodeWithContext(syndrome, {});
     }
 
-    /**
-     * Decode one syndrome under per-shot context overrides — the
-     * erasure-aware entry point.  decodeBatchSorted zeroes the
-     * weights of edges explainable by fired herald channels and hands
-     * the override span in here; every built-in decoder kind overrides
-     * this to thread the context through its matching passes.  The
-     * base implementation only accepts an empty context (it routes
-     * to decodeSpan), so external registrations that predate the
-     * context stay correct rather than silently ignoring overrides.
-     */
-    virtual std::uint32_t
-    decodeWithContext(std::span<const std::uint32_t> syndrome,
-                      const DecodeContext &ctx)
+    /** Clear per-run statistics (fallback counters etc.);
+     *  overrides call this too. */
+    virtual void reset()
     {
-        TRAQ_REQUIRE(ctx.weights.empty() && ctx.maxRound < 0,
-                     "decodeWithContext: this decoder does not "
-                     "support context overrides");
-        return decodeSpan(syndrome);
+        if (pre_)
+            pre_->reset();
     }
-
-    /** Clear per-run statistics (fallback counters etc.). */
-    virtual void reset() {}
 
     /** Short stable identifier, e.g. "union-find". */
     virtual const char *name() const = 0;
@@ -279,11 +277,47 @@ class Decoder
     virtual std::uint64_t fallbacks() const { return 0; }
 
     /** Defect pairs peeled by the predecode fast path since
-     *  reset(); 0 when predecode is off or unsupported. */
-    virtual std::uint64_t predecodedPairs() const { return 0; }
+     *  reset(); 0 when predecode is off. */
+    std::uint64_t predecodedPairs() const
+    {
+        return pre_ ? pre_->pairsPeeled() : 0;
+    }
+
+  protected:
+    Decoder() = default;
+
+    /** Build the predecode peeler (see Predecoder) when predecode
+     *  is on. */
+    Decoder(const DecodeGraph &graph, bool predecode, int radius)
+    {
+        if (predecode)
+            pre_ = std::make_unique<Predecoder>(graph, radius);
+    }
+
+    /**
+     * Peel isolated adjacent pairs off syndrome when predecode is on
+     * and ctx carries no weight override (the peel conditions use the
+     * base weights): syndrome is pointed at the residue, peeled edges
+     * are appended to usedEdges if non-null, and the peeled edges'
+     * observable mask is returned.  Otherwise returns 0 and leaves
+     * syndrome alone.
+     */
+    std::uint32_t
+    peelPairs(std::span<const std::uint32_t> &syndrome,
+              const DecodeContext &ctx,
+              std::vector<std::uint32_t> *usedEdges)
+    {
+        if (!pre_ || !ctx.weights.empty())
+            return 0;
+        const std::uint32_t peeled =
+            pre_->peel(syndrome, ctx, residue_, usedEdges);
+        syndrome = residue_;
+        return peeled;
+    }
 
   private:
-    std::vector<std::uint32_t> spanScratch_;
+    std::unique_ptr<Predecoder> pre_;
+    std::vector<std::uint32_t> residue_;  //!< post-peel syndrome
 };
 
 /**

@@ -11,26 +11,25 @@
  * sweeps use to check the exact decoder actually covered the
  * below-threshold regime being measured.
  *
- * decodeEx() forwards the DecodeContext to whichever stage handles
- * the syndrome, so the correlated and windowed decoders can use the
- * composite as their inner engine.  When predecode is enabled the
- * composite owns the peeler (its inner stages never peel), and both
- * the routing decision and the fallback count key off the *original*
- * syndrome size — peeling changes the work, never the route.
+ * decodeWithContext() forwards the DecodeContext and the used-edge
+ * list to whichever stage handles the syndrome, so the correlated
+ * and windowed decoders can use the composite as their inner engine.
+ * When predecode is enabled the composite peels (its inner stages
+ * never do), and both the routing decision and the fallback count
+ * key off the *original* syndrome size — peeling changes the work,
+ * never the route.
  */
 
 #ifndef TRAQ_DECODER_FALLBACK_HH
 #define TRAQ_DECODER_FALLBACK_HH
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "src/decoder/decode_graph.hh"
 #include "src/decoder/decoder.hh"
 #include "src/decoder/mwpm.hh"
-#include "src/decoder/predecode.hh"
 #include "src/decoder/union_find.hh"
 
 namespace traq::decoder {
@@ -45,43 +44,23 @@ class FallbackDecoder final : public Decoder
                     bool reachCache = false);
 
     std::uint32_t
-    decode(const std::vector<std::uint32_t> &syndrome) override;
-
-    std::uint32_t
-    decodeSpan(std::span<const std::uint32_t> syndrome) override;
-
-    /** Context-aware decode (see Decoder clients of DecodeGraph). */
-    std::uint32_t
-    decodeEx(std::span<const std::uint32_t> syndrome,
-             const DecodeContext &ctx,
-             std::vector<std::uint32_t> *usedEdges);
-
-    std::uint32_t
     decodeWithContext(std::span<const std::uint32_t> syndrome,
-                      const DecodeContext &ctx) override
-    {
-        return decodeEx(syndrome, ctx, nullptr);
-    }
+                      const DecodeContext &ctx,
+                      std::vector<std::uint32_t> *usedEdges =
+                          nullptr) override;
 
     void reset() override
     {
+        Decoder::reset();
         fallbacks_ = 0;
-        if (pre_)
-            pre_->reset();
         mwpm_.invalidateReachCache();
     }
     const char *name() const override { return "mwpm+uf-fallback"; }
     std::uint64_t fallbacks() const override { return fallbacks_; }
-    std::uint64_t predecodedPairs() const override
-    {
-        return pre_ ? pre_->pairsPeeled() : 0;
-    }
 
   private:
     MwpmDecoder mwpm_;
     UnionFindDecoder uf_;
-    std::unique_ptr<Predecoder> pre_;
-    std::vector<std::uint32_t> residue_;  //!< post-peel syndrome
     std::uint64_t fallbacks_ = 0;
 };
 

@@ -30,12 +30,11 @@ constexpr std::greater<> kHeapOrder{};
 MwpmDecoder::MwpmDecoder(const DecodeGraph &graph,
                          std::size_t maxDefects, bool predecode,
                          int predecodeRadius, bool reachCache)
-    : graph_(graph), maxDefects_(maxDefects), reachCache_(reachCache)
+    : Decoder(graph, predecode, predecodeRadius), graph_(graph),
+      maxDefects_(maxDefects), reachCache_(reachCache)
 {
     TRAQ_REQUIRE(maxDefects_ <= 22,
                  "bitmask matching is limited to 22 defects");
-    if (predecode)
-        pre_ = std::make_unique<Predecoder>(graph_, predecodeRadius);
     const std::size_t n = graph_.numNodes();
     distStamp_.assign(n, 0);
     targetStamp_.assign(n, 0);
@@ -356,21 +355,9 @@ MwpmDecoder::throwUnmatchable(std::span<const std::uint32_t> syn) const
 }
 
 std::uint32_t
-MwpmDecoder::decode(const std::vector<std::uint32_t> &syndrome)
-{
-    return decodeEx(syndrome, {}, nullptr);
-}
-
-std::uint32_t
-MwpmDecoder::decodeSpan(std::span<const std::uint32_t> syndrome)
-{
-    return decodeEx(syndrome, {}, nullptr);
-}
-
-std::uint32_t
-MwpmDecoder::decodeEx(std::span<const std::uint32_t> syndrome,
-                      const DecodeContext &ctx,
-                      std::vector<std::uint32_t> *usedEdges)
+MwpmDecoder::decodeWithContext(std::span<const std::uint32_t> syndrome,
+                               const DecodeContext &ctx,
+                               std::vector<std::uint32_t> *usedEdges)
 {
     TRAQ_REQUIRE(ctx.weights.empty() ||
                      ctx.weights.size() == graph_.edges().size(),
@@ -383,13 +370,8 @@ MwpmDecoder::decodeEx(std::span<const std::uint32_t> syndrome,
     TRAQ_REQUIRE(syndrome.size() <= maxDefects_,
                  "syndrome exceeds exact matching cap");
 
-    std::uint32_t preCorrection = 0;
     std::span<const std::uint32_t> syn = syndrome;
-    if (pre_ && ctx.weights.empty()) {
-        preCorrection = pre_->peel(syndrome, ctx, residue_,
-                                   usedEdges);
-        syn = residue_;
-    }
+    const std::uint32_t preCorrection = peelPairs(syn, ctx, usedEdges);
     const std::size_t m = syn.size();
     if (m == 0)
         return preCorrection;

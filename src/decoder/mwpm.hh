@@ -15,13 +15,12 @@
  * cap is FallbackDecoder's job (it routes oversized syndromes to
  * union-find).
  *
- * The extended entry point decodeEx() is what the composite decoders
- * build on: a DecodeContext can reweight edges (correlated two-pass
- * decoding, herald-zeroed erasure decoding) or hide future rounds
- * (windowed streaming decoding), and the matched correction can be
- * reported as the list of graph edges it traverses — the edge
- * posteriors the correlated decoder feeds back across partner
- * hyperedges.
+ * Its decodeWithContext() is what the composite decoders build on:
+ * a DecodeContext can reweight edges (correlated two-pass decoding,
+ * herald-zeroed erasure decoding) or hide future rounds (windowed
+ * streaming decoding), and the matched correction can be reported
+ * as the list of graph edges it traverses — the edge posteriors the
+ * correlated decoder feeds back across partner hyperedges.
  *
  * Searches run over a flat per-node arc array built once from the
  * graph, with a reused binary heap.  A search the reach cache does
@@ -38,14 +37,12 @@
 #define TRAQ_DECODER_MWPM_HH
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "src/decoder/decode_graph.hh"
 #include "src/decoder/decoder.hh"
-#include "src/decoder/predecode.hh"
 
 namespace traq::decoder {
 
@@ -81,40 +78,24 @@ class MwpmDecoder final : public Decoder
     }
 
     /**
-     * Decode one syndrome.  Throws FatalError above the cap, and when
-     * no matching exists (a defect, or an odd group of defects, with
-     * no path to the boundary); use FallbackDecoder when syndromes
-     * may exceed the cap.
+     * Decode one syndrome under a context (reweighted edges and/or a
+     * round horizon).  Throws FatalError above the cap, and when no
+     * matching exists (a defect, or an odd group of defects, with no
+     * path to the boundary); use FallbackDecoder when syndromes may
+     * exceed the cap.  If usedEdges is non-null the edges traversed
+     * by the matched correction are appended to it (unsorted,
+     * duplicates possible when two paths share an edge).
      * @return predicted logical-observable flip mask.
      */
     std::uint32_t
-    decode(const std::vector<std::uint32_t> &syndrome) override;
-
-    std::uint32_t
-    decodeSpan(std::span<const std::uint32_t> syndrome) override;
-
-    /**
-     * Decode under a context (reweighted edges and/or a round
-     * horizon).  If usedEdges is non-null the edges traversed by the
-     * matched correction are appended to it (unsorted, duplicates
-     * possible when two paths share an edge).
-     */
-    std::uint32_t
-    decodeEx(std::span<const std::uint32_t> syndrome,
-             const DecodeContext &ctx,
-             std::vector<std::uint32_t> *usedEdges);
-
-    std::uint32_t
     decodeWithContext(std::span<const std::uint32_t> syndrome,
-                      const DecodeContext &ctx) override
-    {
-        return decodeEx(syndrome, ctx, nullptr);
-    }
+                      const DecodeContext &ctx,
+                      std::vector<std::uint32_t> *usedEdges =
+                          nullptr) override;
 
     void reset() override
     {
-        if (pre_)
-            pre_->reset();
+        Decoder::reset();
         invalidateReachCache();
     }
 
@@ -124,16 +105,10 @@ class MwpmDecoder final : public Decoder
     /** Drop every cached single-source search (epoch bump). */
     void invalidateReachCache();
     const char *name() const override { return "mwpm"; }
-    std::uint64_t predecodedPairs() const override
-    {
-        return pre_ ? pre_->pairsPeeled() : 0;
-    }
 
   private:
     const DecodeGraph &graph_;
     std::size_t maxDefects_;
-    std::unique_ptr<Predecoder> pre_;
-    std::vector<std::uint32_t> residue_;  //!< post-peel syndrome
 
     /** One traversal of a graph edge out of a node. */
     struct Arc

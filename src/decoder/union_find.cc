@@ -21,10 +21,8 @@ UnionFindDecoder::quantize(double w)
 UnionFindDecoder::UnionFindDecoder(const DecodeGraph &graph,
                                    bool predecode,
                                    int predecodeRadius)
-    : graph_(graph)
+    : Decoder(graph, predecode, predecodeRadius), graph_(graph)
 {
-    if (predecode)
-        pre_ = std::make_unique<Predecoder>(graph_, predecodeRadius);
     edgeWeightQ_.reserve(graph_.edges().size());
     for (const auto &e : graph_.edges())
         edgeWeightQ_.push_back(quantize(e.weight));
@@ -99,21 +97,9 @@ UnionFindDecoder::unite(std::int32_t a, std::int32_t b)
 }
 
 std::uint32_t
-UnionFindDecoder::decode(const std::vector<std::uint32_t> &syndrome)
-{
-    return decodeEx(syndrome, {}, nullptr);
-}
-
-std::uint32_t
-UnionFindDecoder::decodeSpan(std::span<const std::uint32_t> syndrome)
-{
-    return decodeEx(syndrome, {}, nullptr);
-}
-
-std::uint32_t
-UnionFindDecoder::decodeEx(std::span<const std::uint32_t> syndrome,
-                           const DecodeContext &ctx,
-                           std::vector<std::uint32_t> *usedEdges)
+UnionFindDecoder::decodeWithContext(
+    std::span<const std::uint32_t> syndrome, const DecodeContext &ctx,
+    std::vector<std::uint32_t> *usedEdges)
 {
     // Resolve the effective quantized weights for this call.
     TRAQ_REQUIRE(ctx.weights.empty() ||
@@ -132,13 +118,8 @@ UnionFindDecoder::decodeEx(std::span<const std::uint32_t> syndrome,
         return maxRound >= 0 && e.round > maxRound;
     };
 
-    std::uint32_t preCorrection = 0;
     std::span<const std::uint32_t> syn = syndrome;
-    if (pre_ && ctx.weights.empty()) {
-        preCorrection = pre_->peel(syndrome, ctx, residue_,
-                                   usedEdges);
-        syn = residue_;
-    }
+    const std::uint32_t preCorrection = peelPairs(syn, ctx, usedEdges);
 
     bumpEpoch();
     for (std::uint32_t d : syn) {

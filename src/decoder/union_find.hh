@@ -10,10 +10,10 @@
  * sweeps via the decoding factor alpha (Sec. III.4, Fig. 13(a)).
  *
  * Like the exact matcher, it is a client of the shared DecodeGraph:
- * decodeEx() accepts a DecodeContext with reweighted edges (the
- * correlated decoder's second pass falls back here above the MWPM
- * cap) and/or a round horizon (windowed streaming decode), and can
- * report the correction's edges.
+ * decodeWithContext() accepts a DecodeContext with reweighted edges
+ * (the correlated decoder's second pass falls back here above the
+ * MWPM cap) and/or a round horizon (windowed streaming decode), and
+ * can report the correction's edges.
  *
  * All per-decode state is an epoch-stamped arena: a mark is valid
  * only if its stamp matches the current decode's epoch, so a decode
@@ -27,13 +27,11 @@
 #define TRAQ_DECODER_UNION_FIND_HH
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "src/decoder/decode_graph.hh"
 #include "src/decoder/decoder.hh"
-#include "src/decoder/predecode.hh"
 
 namespace traq::decoder {
 
@@ -54,16 +52,6 @@ class UnionFindDecoder final : public Decoder
                               int predecodeRadius = 2);
 
     /**
-     * Decode one syndrome (list of flipped detector ids).
-     * @return the predicted logical-observable flip mask.
-     */
-    std::uint32_t
-    decode(const std::vector<std::uint32_t> &syndrome) override;
-
-    std::uint32_t
-    decodeSpan(std::span<const std::uint32_t> syndrome) override;
-
-    /**
      * Decode under a context.  Non-default weights are requantized
      * per call (an O(edges) pass — acceptable because composite
      * decoders only route the rare oversized syndromes here).  If
@@ -71,32 +59,15 @@ class UnionFindDecoder final : public Decoder
      * appended to it.
      */
     std::uint32_t
-    decodeEx(std::span<const std::uint32_t> syndrome,
-             const DecodeContext &ctx,
-             std::vector<std::uint32_t> *usedEdges);
-
-    std::uint32_t
     decodeWithContext(std::span<const std::uint32_t> syndrome,
-                      const DecodeContext &ctx) override
-    {
-        return decodeEx(syndrome, ctx, nullptr);
-    }
+                      const DecodeContext &ctx,
+                      std::vector<std::uint32_t> *usedEdges =
+                          nullptr) override;
 
-    void reset() override
-    {
-        if (pre_)
-            pre_->reset();
-    }
     const char *name() const override { return "union-find"; }
-    std::uint64_t predecodedPairs() const override
-    {
-        return pre_ ? pre_->pairsPeeled() : 0;
-    }
 
   private:
     const DecodeGraph &graph_;
-    std::unique_ptr<Predecoder> pre_;
-    std::vector<std::uint32_t> residue_;  //!< post-peel syndrome
     std::vector<std::uint32_t> edgeWeightQ_;  //!< quantized weights
     std::vector<std::uint32_t> ctxWeightQ_;   //!< per-call override
 

@@ -11,7 +11,9 @@ WindowedDecoder::WindowedDecoder(const DecodeGraph &graph,
     // Windowed passes decode under a round horizon, which bypasses
     // the reach cache; only the short-circuit full-history decode
     // (syndromes confined to the first window) benefits from it.
-    : graph_(graph),
+    : Decoder(graph, resolvePredecode(config.predecode),
+              config.predecodeRadius),
+      graph_(graph),
       inner_(graph, config.mwpmMaxDefects, /*predecode=*/false,
              /*predecodeRadius=*/2,
              resolveReachCache(config.reachCache)),
@@ -20,51 +22,33 @@ WindowedDecoder::WindowedDecoder(const DecodeGraph &graph,
     TRAQ_REQUIRE(window_ >= 1, "windowRounds must be >= 1");
     TRAQ_REQUIRE(commit_ >= 1 && commit_ <= window_,
                  "need 1 <= commitRounds <= windowRounds");
-    if (resolvePredecode(config.predecode))
-        pre_ = std::make_unique<Predecoder>(graph_,
-                                            config.predecodeRadius);
     parity_.assign(graph_.numNodes(), 0);
 }
 
 std::uint32_t
-WindowedDecoder::decode(const std::vector<std::uint32_t> &syndrome)
-{
-    return decodeSpan(syndrome);
-}
-
-std::uint32_t
-WindowedDecoder::decodeSpan(std::span<const std::uint32_t> syndrome)
-{
-    return decodeWithContext(syndrome, {});
-}
-
-std::uint32_t
 WindowedDecoder::decodeWithContext(
-    std::span<const std::uint32_t> syndrome, const DecodeContext &ctx)
+    std::span<const std::uint32_t> syndrome, const DecodeContext &ctx,
+    std::vector<std::uint32_t> *usedEdges)
 {
     TRAQ_REQUIRE(ctx.maxRound < 0,
                  "windowed decoder owns the round horizon");
-    if (syndrome.empty())
-        return 0;
+    TRAQ_REQUIRE(usedEdges == nullptr,
+                 "windowed decoder cannot report its committed edges");
 
     // Peel isolated adjacent pairs before streaming: each is a
     // single-mechanism event whose two defects no window boundary
     // could split into different commits anyway.  Skipped under a
     // weight override (matching the other decoders' peelers).
-    std::uint32_t preCorrection = 0;
     std::span<const std::uint32_t> syn = syndrome;
-    if (pre_ && ctx.weights.empty()) {
-        preCorrection = pre_->peel(syndrome, {}, residue_, nullptr);
-        syn = residue_;
-        if (syn.empty())
-            return preCorrection;
-    }
+    const std::uint32_t preCorrection = peelPairs(syn, ctx, nullptr);
+    if (syn.empty())
+        return preCorrection;
 
     const int rounds = graph_.numRounds();
     if (window_ >= rounds) {
         // The window already covers the whole history.
         ++windowsDecoded_;
-        return preCorrection ^ inner_.decodeEx(syn, ctx, nullptr);
+        return preCorrection ^ inner_.decodeWithContext(syn, ctx);
     }
 
     // parity_ is all-zero between calls (every window run ends with
@@ -97,7 +81,7 @@ WindowedDecoder::decodeWithContext(
             wctx.maxRound = horizon;
             used_.clear();
             const std::uint32_t corr =
-                inner_.decodeEx(sub, wctx, &used_);
+                inner_.decodeWithContext(sub, wctx, &used_);
             if (last) {
                 // Final window: everything commits.
                 correction ^= corr;

@@ -36,14 +36,12 @@
 #define TRAQ_DECODER_WINDOWED_HH
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "src/decoder/decode_graph.hh"
 #include "src/decoder/decoder.hh"
 #include "src/decoder/fallback.hh"
-#include "src/decoder/predecode.hh"
 
 namespace traq::decoder {
 
@@ -54,37 +52,30 @@ class WindowedDecoder final : public Decoder
     WindowedDecoder(const DecodeGraph &graph,
                     const DecoderConfig &config);
 
-    std::uint32_t
-    decode(const std::vector<std::uint32_t> &syndrome) override;
-
-    std::uint32_t
-    decodeSpan(std::span<const std::uint32_t> syndrome) override;
-
     /**
      * Context-aware decode: per-edge weight overrides (the
      * erasure-aware path) apply to every window's inner decode; the
      * streaming round horizon stays this decoder's own (a caller
-     * maxRound is rejected — the window schedule owns it).
+     * maxRound is rejected — the window schedule owns it).  A
+     * non-null usedEdges is rejected too: the committed corrections
+     * are not reported as edges.
      */
     std::uint32_t
     decodeWithContext(std::span<const std::uint32_t> syndrome,
-                      const DecodeContext &ctx) override;
+                      const DecodeContext &ctx,
+                      std::vector<std::uint32_t> *usedEdges =
+                          nullptr) override;
 
     void reset() override
     {
+        Decoder::reset();
         inner_.reset();
         windowsDecoded_ = 0;
-        if (pre_)
-            pre_->reset();
     }
     const char *name() const override { return "windowed"; }
     std::uint64_t fallbacks() const override
     {
         return inner_.fallbacks();
-    }
-    std::uint64_t predecodedPairs() const override
-    {
-        return pre_ ? pre_->pairsPeeled() : 0;
     }
 
     /** Window decode steps run since reset() (all shots). */
@@ -93,8 +84,6 @@ class WindowedDecoder final : public Decoder
   private:
     const DecodeGraph &graph_;
     FallbackDecoder inner_;
-    std::unique_ptr<Predecoder> pre_;
-    std::vector<std::uint32_t> residue_;  //!< post-peel syndrome
     int window_;
     int commit_;
 

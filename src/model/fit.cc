@@ -192,14 +192,6 @@ fitCnotAnsatz(const std::vector<CnotDataPoint> &data,
     return fit;
 }
 
-CnotFit
-fitCnotModel(const std::vector<CnotDataPoint> &data, double fixLambda)
-{
-    CnotFitOptions opts;
-    opts.fixLambda = fixLambda;
-    return fitCnotAnsatz(data, opts);
-}
-
 double
 lambdaFromMemoryPair(double pPerRoundD, double pPerRoundDPlus2)
 {

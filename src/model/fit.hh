@@ -92,10 +92,6 @@ struct CnotFitOptions
 CnotFit fitCnotAnsatz(const std::vector<CnotDataPoint> &data,
                       const CnotFitOptions &opts = {});
 
-/** Back-compat shim over fitCnotAnsatz. */
-CnotFit fitCnotModel(const std::vector<CnotDataPoint> &data,
-                     double fixLambda = -1.0);
-
 /**
  * Lambda estimate from two memory anchors (Eq. (2)): per-round
  * logical error at distances d and d + 2 gives

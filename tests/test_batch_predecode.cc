@@ -5,8 +5,8 @@
  * The two hot-path additions must be invisible to results:
  *
  *  - decodeBatchSorted (memo off) over a CSR SyndromeBatch must
- *    equal per-shot decode() for every registered decoder kind on
- *    simulator-sampled syndromes (bit identity, not statistics).
+ *    equal per-shot decodeSpan() for every registered decoder kind
+ *    on simulator-sampled syndromes (bit identity, not statistics).
  *  - The predecode fast path (peeling isolated adjacent defect
  *    pairs) must produce corrections identical to predecode-off for
  *    every kind, on randomized syndromes and through the full
@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <vector>
 
@@ -122,10 +123,10 @@ TEST(BatchDecode, MatchesPerShotForAllRegisteredKinds)
 {
     // decodeBatchSorted with the memo off decodes every shot, in
     // ascending defect-count order, and must be bit-identical to
-    // per-shot decode() for every registered decoder on real sampled
-    // syndromes.  The batch decoder is a separate warm instance, so
-    // arena-scratch reuse across shots is exactly what this
-    // exercises.
+    // per-shot decodeSpan() for every registered decoder on real
+    // sampled syndromes.  The batch decoder is a separate warm
+    // instance, so arena-scratch reuse across shots is exactly what
+    // this exercises.
     codes::SurfaceCode sc(3);
     auto e = codes::buildMemory(sc, 'Z', 3,
                                 codes::NoiseParams::uniform(0.02));
@@ -142,7 +143,7 @@ TEST(BatchDecode, MatchesPerShotForAllRegisteredKinds)
         BatchDecodeScratch scratch;
         decodeBatchSorted(*batchDec, syn.view(), got, scratch, false);
         for (std::uint64_t s = 0; s < syn.shots(); ++s)
-            ASSERT_EQ(got[s], shotDec->decode(syn.syndrome(s)))
+            ASSERT_EQ(got[s], shotDec->decodeSpan(syn.syndrome(s)))
                 << decoderKindName(kind) << " shot " << s;
     }
 }
@@ -177,14 +178,48 @@ TEST(Predecode, OnOffCorrectionsIdenticalForAllKinds)
             on.predecode = 1;
             auto decOff = makeDecoder(kind, graph, off);
             auto decOn = makeDecoder(kind, graph, on);
+            // These kinds report their correction's edges, peeled
+            // pairs included: the edges' observables must XOR to the
+            // returned mask, and their endpoints must cancel to the
+            // syndrome (boundary exits aside).
+            const bool reportsEdges = kind == DecoderKind::UnionFind ||
+                                      kind == DecoderKind::Mwpm ||
+                                      kind == DecoderKind::Fallback;
+            std::vector<std::uint32_t> used;
             for (std::uint64_t s = 0; s < syn.shots(); ++s) {
                 const auto shot = syn.syndrome(s);
                 // The bare MWPM kind throws above its defect cap
                 // (by design); only the capped kinds see everything.
                 if (kind == DecoderKind::Mwpm && shot.size() > 16)
                     continue;
-                ASSERT_EQ(decOn->decode(shot), decOff->decode(shot))
+                ASSERT_EQ(decOn->decodeSpan(shot),
+                          decOff->decodeSpan(shot))
                     << decoderKindName(kind) << " shot " << s;
+                if (!reportsEdges)
+                    continue;
+                for (Decoder *dec : {decOff.get(), decOn.get()}) {
+                    used.clear();
+                    const std::uint32_t mask =
+                        dec->decodeWithContext(shot, {}, &used);
+                    std::uint32_t fromEdges = 0;
+                    std::vector<std::uint8_t> parity(graph.numNodes());
+                    for (std::uint32_t d : shot)
+                        parity[d] ^= 1;
+                    for (std::uint32_t ei : used) {
+                        const GraphEdge &e = graph.edges()[ei];
+                        fromEdges ^= e.observables;
+                        if (e.u != kBoundary)
+                            parity[e.u] ^= 1;
+                        parity[e.v] ^= 1;
+                    }
+                    const char *mode =
+                        dec == decOn.get() ? " predecode on" : "";
+                    ASSERT_EQ(fromEdges, mask)
+                        << decoderKindName(kind) << " shot " << s << mode;
+                    ASSERT_EQ(std::count(parity.begin(), parity.end(), 1),
+                              0)
+                        << decoderKindName(kind) << " shot " << s << mode;
+                }
             }
             EXPECT_GT(decOn->predecodedPairs(), 0u)
                 << decoderKindName(kind);

@@ -128,7 +128,7 @@ TEST(CorrelatedDecoder, FallsBackToPlainDecodeWithoutHints)
     for (const auto &syn :
          std::vector<std::vector<std::uint32_t>>{
              {}, {0}, {2, 3}, {0, 4}, {1, 2, 3, 4}}) {
-        EXPECT_EQ(corr.decode(syn), plain.decode(syn));
+        EXPECT_EQ(corr.decodeSpan(syn), plain.decodeSpan(syn));
     }
     EXPECT_EQ(corr.reweightedPasses(), 0u);
 }
@@ -226,6 +226,26 @@ TEST(WindowedDecoder, RejectsBadWindowConfig)
     cfg.windowRounds = 0;
     EXPECT_THROW(makeDecoder(DecoderKind::Windowed, g, cfg),
                  FatalError);
+}
+
+TEST(WindowedDecoder, RejectsUsedEdgeRequests)
+{
+    // Windows commit edges as they go and keep no list of them, so a
+    // request for the correction's edges fails loudly instead of
+    // coming back empty.
+    codes::SurfaceCode sc(3);
+    auto e = codes::buildMemory(sc, 'Z', 3,
+                                codes::NoiseParams::uniform(1e-3));
+    DecodeGraph g = DecodeGraph::build(e);
+    auto win = makeDecoder(DecoderKind::Windowed, g);
+    std::vector<std::uint32_t> used;
+    for (const auto &syn : std::vector<std::vector<std::uint32_t>>{
+             {}, {0}}) {
+        EXPECT_THROW(win->decodeWithContext(syn, {}, &used),
+                     FatalError);
+        EXPECT_NO_THROW(win->decodeWithContext(syn, {}));
+    }
+    EXPECT_TRUE(used.empty());
 }
 
 } // namespace

@@ -25,6 +25,9 @@ using codes::CircuitMeta;
 using sim::DetectorErrorModel;
 using sim::ErrorMechanism;
 
+/** A hand-written syndrome (decodeSpan takes no braced list). */
+using Syndrome = std::vector<std::uint32_t>;
+
 ErrorMechanism
 mech(double p, std::vector<std::uint32_t> dets,
      std::uint32_t obs = 0)
@@ -170,7 +173,7 @@ TEST(DecodeGraph, ContextWeightOverrideRedirectsMatching)
     DecodeGraph g = DecodeGraph::fromDem(dem, meta);
     MwpmDecoder dec(g);
 
-    EXPECT_EQ(dec.decode({0, 2}), 0u);  // through-path, no flip
+    EXPECT_EQ(dec.decodeSpan(Syndrome{0, 2}), 0u);  // through-path
 
     std::vector<double> w;
     std::vector<std::uint32_t> boundaryEdges;
@@ -187,7 +190,7 @@ TEST(DecodeGraph, ContextWeightOverrideRedirectsMatching)
     ctx.weights = w;
     std::vector<std::uint32_t> used;
     const std::vector<std::uint32_t> syn{0, 2};
-    EXPECT_EQ(dec.decodeEx(syn, ctx, &used), 1u);
+    EXPECT_EQ(dec.decodeWithContext(syn, ctx, &used), 1u);
     // Both boundary exits appear in the used-edge report.
     for (std::uint32_t ei : boundaryEdges)
         EXPECT_NE(std::find(used.begin(), used.end(), ei),
@@ -217,12 +220,12 @@ TEST(DecodeGraph, ContextRoundHorizonHidesFutureEdges)
     EXPECT_EQ(g.numRounds(), 2);
     MwpmDecoder dec(g);
 
-    EXPECT_EQ(dec.decode({0}), 0u);  // via round-1 edge, far exit
+    EXPECT_EQ(dec.decodeSpan(Syndrome{0}), 0u);  // round-1 edge, far exit
 
     DecodeContext ctx;
     ctx.maxRound = 0;
     const std::vector<std::uint32_t> lone{0};
-    EXPECT_EQ(dec.decodeEx(lone, ctx, nullptr), 1u);
+    EXPECT_EQ(dec.decodeWithContext(lone, ctx), 1u);
 }
 
 TEST(DecodeGraph, MetadataSizeMismatchFailsLoudly)

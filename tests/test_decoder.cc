@@ -36,6 +36,9 @@ using codes::CircuitMeta;
 using sim::DetectorErrorModel;
 using sim::ErrorMechanism;
 
+/** A hand-written syndrome (decodeSpan takes no braced list). */
+using Syndrome = std::vector<std::uint32_t>;
+
 /** Hand-built DEM: a 1D repetition-code-like chain of n detectors. */
 DetectorErrorModel
 chainDem(int n, double p)
@@ -259,12 +262,12 @@ expectOptimalOnGraph(const DecodeGraph &g, std::uint64_t seed)
             for (MwpmDecoder *dec : {&cached, &uncached}) {
                 used.clear();
                 if (!want.feasible) {
-                    EXPECT_THROW(dec->decodeEx(syn, ctx, &used),
+                    EXPECT_THROW(dec->decodeWithContext(syn, ctx, &used),
                                  FatalError);
                     continue;
                 }
                 const std::uint32_t got =
-                    dec->decodeEx(syn, ctx, &used);
+                    dec->decodeWithContext(syn, ctx, &used);
                 double cost = 0.0;
                 for (std::uint32_t ei : used)
                     cost += matchMetric(g, ei, ctx);
@@ -294,7 +297,7 @@ struct Fnv1a
 TEST(Graph, ChainStructure)
 {
     auto dem = chainDem(4, 0.01);
-    DecodingGraph g = DecodingGraph::fromDem(dem, chainMeta(4));
+    DecodeGraph g = DecodeGraph::fromDem(dem, chainMeta(4));
     EXPECT_EQ(g.numNodes(), 4u);
     EXPECT_EQ(g.edges().size(), 5u);
     EXPECT_EQ(g.numUnsplittable(), 0u);
@@ -316,7 +319,7 @@ TEST(Graph, MergesParallelMechanisms)
     dem.errors.push_back(a);
     CircuitMeta meta;
     meta.detectorIsX.assign(2, 0);
-    DecodingGraph g = DecodingGraph::fromDem(dem, meta);
+    DecodeGraph g = DecodeGraph::fromDem(dem, meta);
     ASSERT_EQ(g.edges().size(), 1u);
     EXPECT_NEAR(g.edges()[0].probability, 0.1 * 0.9 + 0.9 * 0.1,
                 1e-12);
@@ -337,7 +340,7 @@ TEST(Graph, SplitsByBasis)
     CircuitMeta meta;
     meta.detectorIsX = {0, 1};   // detector 0 Z-basis, detector 1 X
     meta.observableIsX = {0};    // Z observable
-    DecodingGraph g = DecodingGraph::fromDem(dem, meta);
+    DecodeGraph g = DecodeGraph::fromDem(dem, meta);
     ASSERT_EQ(g.edges().size(), 2u);
     // The Z-basis part (detector 0) carries the observable.
     for (const auto &e : g.edges()) {
@@ -361,7 +364,7 @@ TEST(Graph, CountsUndetectableLogical)
     CircuitMeta meta;
     meta.detectorIsX = {0};
     meta.observableIsX = {0};
-    DecodingGraph g = DecodingGraph::fromDem(dem, meta);
+    DecodeGraph g = DecodeGraph::fromDem(dem, meta);
     EXPECT_EQ(g.numUndetectableLogical(), 1u);
 }
 
@@ -374,15 +377,15 @@ TEST_P(ChainDecoders, SingleErrorsCorrected)
 {
     auto [n, which] = GetParam();
     auto dem = chainDem(n, 0.01);
-    DecodingGraph g = DecodingGraph::fromDem(dem, chainMeta(n));
+    DecodeGraph g = DecodeGraph::fromDem(dem, chainMeta(n));
     UnionFindDecoder uf(g);
     MwpmDecoder mwpm(g);
     // Every single mechanism's syndrome must decode back to its own
     // observable effect.
     for (const auto &mech : dem.errors) {
         std::uint32_t predicted =
-            which == 0 ? uf.decode(mech.detectors)
-                       : mwpm.decode(mech.detectors);
+            which == 0 ? uf.decodeSpan(mech.detectors)
+                       : mwpm.decodeSpan(mech.detectors);
         EXPECT_EQ(predicted, mech.observables);
     }
 }
@@ -395,9 +398,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(UnionFind, EmptySyndromeIsTrivial)
 {
     auto dem = chainDem(5, 0.01);
-    DecodingGraph g = DecodingGraph::fromDem(dem, chainMeta(5));
+    DecodeGraph g = DecodeGraph::fromDem(dem, chainMeta(5));
     UnionFindDecoder uf(g);
-    EXPECT_EQ(uf.decode({}), 0u);
+    EXPECT_EQ(uf.decodeSpan({}), 0u);
 }
 
 TEST(UnionFind, PairPreferredOverDoubleBoundary)
@@ -405,21 +408,21 @@ TEST(UnionFind, PairPreferredOverDoubleBoundary)
     // Two adjacent defects in the middle of a long chain should be
     // matched together (no logical flip), not via two boundary exits.
     auto dem = chainDem(9, 0.01);
-    DecodingGraph g = DecodingGraph::fromDem(dem, chainMeta(9));
+    DecodeGraph g = DecodeGraph::fromDem(dem, chainMeta(9));
     UnionFindDecoder uf(g);
-    EXPECT_EQ(uf.decode({4, 5}), 0u);
+    EXPECT_EQ(uf.decodeSpan(Syndrome{4, 5}), 0u);
 }
 
 TEST(UnionFind, EdgeDefectExitsBoundary)
 {
     auto dem = chainDem(9, 0.01);
-    DecodingGraph g = DecodingGraph::fromDem(dem, chainMeta(9));
+    DecodeGraph g = DecodeGraph::fromDem(dem, chainMeta(9));
     UnionFindDecoder uf(g);
     // Defect at node 0: nearest explanation is the left boundary
     // edge, which flips the observable.
-    EXPECT_EQ(uf.decode({0}), 1u);
+    EXPECT_EQ(uf.decodeSpan(Syndrome{0}), 1u);
     // Defect at the right end: right boundary, no observable.
-    EXPECT_EQ(uf.decode({8}), 0u);
+    EXPECT_EQ(uf.decodeSpan(Syndrome{8}), 0u);
 }
 
 TEST(Mwpm, MatchesBruteForceOnSmallGraphs)
@@ -447,7 +450,7 @@ TEST(Mwpm, MatchesBruteForceOnSmallGraphs)
     CircuitMeta meta;
     meta.detectorIsX.assign(4, 0);
     meta.observableIsX.assign(1, 0);
-    DecodingGraph g = DecodingGraph::fromDem(dem, meta);
+    DecodeGraph g = DecodeGraph::fromDem(dem, meta);
     MwpmDecoder mwpm(g);
 
     // Brute force: over all subsets of mechanisms, find min weight
@@ -486,10 +489,10 @@ TEST(Mwpm, MatchesBruteForceOnSmallGraphs)
     };
     for (const auto &syn : syndromes) {
         if (syn.empty()) {
-            EXPECT_EQ(mwpm.decode(syn), 0u);
+            EXPECT_EQ(mwpm.decodeSpan(syn), 0u);
             continue;
         }
-        EXPECT_EQ(mwpm.decode(syn), bruteForce(syn))
+        EXPECT_EQ(mwpm.decodeSpan(syn), bruteForce(syn))
             << "syndrome size " << syn.size();
     }
 
@@ -521,13 +524,13 @@ TEST(Mwpm, UnmatchableDefectThrowsNamingIt)
     CircuitMeta meta;
     meta.detectorIsX.assign(6, 0);
     meta.observableIsX.assign(1, 0);
-    DecodingGraph g = DecodingGraph::fromDem(dem, meta);
+    DecodeGraph g = DecodeGraph::fromDem(dem, meta);
 
     for (bool cache : {false, true}) {
         MwpmDecoder mwpm(g, 18, false, 2, cache);
         auto failure = [&](std::vector<std::uint32_t> syn) {
             try {
-                mwpm.decode(syn);
+                mwpm.decodeSpan(syn);
             } catch (const FatalError &e) {
                 return std::string(e.what());
             }
@@ -541,11 +544,11 @@ TEST(Mwpm, UnmatchableDefectThrowsNamingIt)
         EXPECT_NE(failure({2, 3, 5}).find("defect 2 is one of 3"),
                   std::string::npos);
         // Even groups and boundary-connected defects still match.
-        EXPECT_EQ(mwpm.decode({2, 3}), 0u);
-        EXPECT_EQ(mwpm.decode({0, 3, 5}), 1u);
+        EXPECT_EQ(mwpm.decodeSpan(Syndrome{2, 3}), 0u);
+        EXPECT_EQ(mwpm.decodeSpan(Syndrome{0, 3, 5}), 1u);
         // Union-find leaves such defects unmatched without failing.
         UnionFindDecoder uf(g);
-        EXPECT_NO_THROW(uf.decode({4}));
+        EXPECT_NO_THROW(uf.decodeSpan(Syndrome{4}));
     }
 }
 
@@ -638,10 +641,12 @@ TEST(Mwpm, CnotLossCorrectionDigestPinned)
                         h.add(ei);
                 };
                 fold(hf, fallback, [&] {
-                    return fallback.decodeEx(syns[s], ctx, &used);
+                    return fallback.decodeWithContext(syns[s], ctx,
+                                                      &used);
                 });
                 fold(hc, correlated, [&] {
-                    return correlated.decodeEx(syns[s], ctx, &used);
+                    return correlated.decodeWithContext(syns[s], ctx,
+                                                        &used);
                 });
                 fold(hw, windowed, [&] {
                     return windowed.decodeWithContext(syns[s], ctx);
@@ -664,11 +669,11 @@ TEST(Mwpm, CnotLossCorrectionDigestPinned)
 TEST(Mwpm, CapEnforced)
 {
     auto dem = chainDem(30, 0.01);
-    DecodingGraph g = DecodingGraph::fromDem(dem, chainMeta(30));
+    DecodeGraph g = DecodeGraph::fromDem(dem, chainMeta(30));
     MwpmDecoder mwpm(g, 4);
     std::vector<std::uint32_t> syn{0, 3, 7, 11, 15};
     EXPECT_FALSE(mwpm.canDecode(syn));
-    EXPECT_THROW(mwpm.decode(syn), traq::FatalError);
+    EXPECT_THROW(mwpm.decodeSpan(syn), traq::FatalError);
     EXPECT_THROW(MwpmDecoder(g, 30), traq::FatalError);
 }
 
@@ -678,7 +683,7 @@ TEST(DecoderOnRealCircuit, GraphIsCleanForMemory)
     auto e = codes::buildMemory(sc, 'Z', 3,
                                 codes::NoiseParams::uniform(1e-3));
     auto dem = sim::buildDem(e.circuit);
-    DecodingGraph g = DecodingGraph::fromDem(dem, e.meta);
+    DecodeGraph g = DecodeGraph::fromDem(dem, e.meta);
     EXPECT_EQ(g.numUnsplittable(), 0u);
     EXPECT_EQ(g.numUndetectableLogical(), 0u);
     EXPECT_GT(g.edges().size(), 50u);
@@ -698,7 +703,7 @@ TEST(DecoderOnRealCircuit, TransversalCnotHasHyperedgesButNoBlindSpots)
     spec.noise = codes::NoiseParams::uniform(1e-3);
     auto e = codes::buildTransversalCnot(spec);
     auto dem = sim::buildDem(e.circuit);
-    DecodingGraph g = DecodingGraph::fromDem(dem, e.meta);
+    DecodeGraph g = DecodeGraph::fromDem(dem, e.meta);
     EXPECT_GT(g.numUnsplittable(), 0u);
     EXPECT_EQ(g.numUndetectableLogical(), 0u);
     // The decomposed halves remember each other.

@@ -27,6 +27,9 @@ using codes::CircuitMeta;
 using sim::DetectorErrorModel;
 using sim::ErrorMechanism;
 
+/** A hand-written syndrome (decodeSpan takes no braced list). */
+using Syndrome = std::vector<std::uint32_t>;
+
 /** 1D repetition-code-like chain of n detectors (see test_decoder). */
 DetectorErrorModel
 chainDem(int n, double p)
@@ -65,14 +68,14 @@ chainMeta(int n)
 TEST(DecoderFactory, MakesAllBuiltinKinds)
 {
     auto dem = chainDem(5, 0.01);
-    DecodingGraph g = DecodingGraph::fromDem(dem, chainMeta(5));
+    DecodeGraph g = DecodeGraph::fromDem(dem, chainMeta(5));
     for (auto kind : {DecoderKind::UnionFind, DecoderKind::Mwpm,
                       DecoderKind::Fallback, DecoderKind::Correlated,
                       DecoderKind::Windowed}) {
         auto dec = makeDecoder(kind, g);
         ASSERT_NE(dec, nullptr);
         EXPECT_STREQ(dec->name(), decoderKindName(kind));
-        EXPECT_EQ(dec->decode({}), 0u);
+        EXPECT_EQ(dec->decodeSpan({}), 0u);
         EXPECT_EQ(dec->fallbacks(), 0u);
     }
 }
@@ -82,7 +85,7 @@ TEST(DecoderFactory, TableDrivenKindNameRoundTrip)
     // Every registered kind round-trips kind -> name -> kind and
     // instantiates a decoder that reports the same name.
     auto dem = chainDem(5, 0.01);
-    DecodingGraph g = DecodingGraph::fromDem(dem, chainMeta(5));
+    DecodeGraph g = DecodeGraph::fromDem(dem, chainMeta(5));
     const auto kinds = registeredDecoderKinds();
     EXPECT_EQ(kinds.size(), 5u);
     for (DecoderKind kind : kinds) {
@@ -98,7 +101,7 @@ TEST(DecoderFactory, TableDrivenKindNameRoundTrip)
 TEST(DecoderFactory, UnknownKindsFailLoudly)
 {
     auto dem = chainDem(3, 0.01);
-    DecodingGraph g = DecodingGraph::fromDem(dem, chainMeta(3));
+    DecodeGraph g = DecodeGraph::fromDem(dem, chainMeta(3));
     const auto bogus = static_cast<DecoderKind>(1000);
     // No silent "unknown" string and no silent default decoder.
     EXPECT_THROW(decoderKindName(bogus), FatalError);
@@ -142,26 +145,61 @@ TEST(MonteCarloEngine, EnvironmentOverridesDecoderKind)
 TEST(DecoderFactory, CustomRegistrationPlugsIn)
 {
     // A new decoder can take over a kind without touching the
-    // harness; restore the builtin afterwards.
+    // harness: it implements decodeWithContext() and name() only,
+    // and both decodeSpan() and the batch path reach it — a heralded
+    // row with the graph's weights, its herald's edges zeroed.
+    // Restore the builtin afterwards.
     struct Fixed final : Decoder
     {
+        std::vector<double> seenWeights;
+
         std::uint32_t
-        decode(const std::vector<std::uint32_t> &) override
+        decodeWithContext(std::span<const std::uint32_t>,
+                          const DecodeContext &ctx,
+                          std::vector<std::uint32_t> *) override
         {
+            seenWeights.assign(ctx.weights.begin(), ctx.weights.end());
             return 42;
         }
         const char *name() const override { return "fixed"; }
     };
     registerDecoder(DecoderKind::UnionFind,
-                    [](const DecodingGraph &, const DecoderConfig &) {
+                    [](const DecodeGraph &, const DecoderConfig &) {
                         return std::unique_ptr<Decoder>(new Fixed);
                     });
+    // Herald channel 0 can explain the middle pair edge.
     auto dem = chainDem(3, 0.01);
-    DecodingGraph g = DecodingGraph::fromDem(dem, chainMeta(3));
-    EXPECT_EQ(makeDecoder(DecoderKind::UnionFind, g)->decode({0}),
-              42u);
+    dem.numHeraldChannels = 1;
+    dem.errors[2].channels = {0};
+    DecodeGraph g = DecodeGraph::fromDem(dem, chainMeta(3));
+    ASSERT_EQ(g.channelEdges(0).size(), 1u);
+    const std::uint32_t erased = g.channelEdges(0)[0];
+
+    auto dec = makeDecoder(DecoderKind::UnionFind, g);
+    const auto &fixed = dynamic_cast<const Fixed &>(*dec);
+    EXPECT_EQ(dec->decodeSpan(Syndrome{0}), 42u);
+    EXPECT_TRUE(fixed.seenWeights.empty());
+
+    const std::uint32_t offsets[] = {0, 1}, defects[] = {1};
+    const std::uint32_t heraldOffsets[] = {0, 1}, heraldIds[] = {0};
+    SyndromeBatch batch;
+    batch.offsets = offsets;
+    batch.defects = defects;
+    batch.heraldOffsets = heraldOffsets;
+    batch.heraldIds = heraldIds;
+    batch.graph = &g;
+    std::uint32_t out = 0;
+    BatchDecodeScratch scratch;
+    decodeBatchSorted(*dec, batch, {&out, 1}, scratch, /*memo=*/true);
+    EXPECT_EQ(out, 42u);
+    ASSERT_EQ(fixed.seenWeights.size(), g.edges().size());
+    for (std::uint32_t ei = 0; ei < g.edges().size(); ++ei)
+        EXPECT_EQ(fixed.seenWeights[ei],
+                  ei == erased ? 0.0 : g.edges()[ei].weight)
+            << "edge " << ei;
+
     registerDecoder(DecoderKind::UnionFind,
-                    [](const DecodingGraph &g2,
+                    [](const DecodeGraph &g2,
                        const DecoderConfig &) {
                         return std::make_unique<UnionFindDecoder>(g2);
                     });
@@ -176,7 +214,7 @@ TEST(DecoderParity, AgreeOnHandBuiltSyndromes)
     // MWPM, and the fallback composite must all agree.
     const int n = 9;
     auto dem = chainDem(n, 0.01);
-    DecodingGraph g = DecodingGraph::fromDem(dem, chainMeta(n));
+    DecodeGraph g = DecodeGraph::fromDem(dem, chainMeta(n));
     auto uf = makeDecoder(DecoderKind::UnionFind, g);
     auto mwpm = makeDecoder(DecoderKind::Mwpm, g);
     auto fb = makeDecoder(DecoderKind::Fallback, g);
@@ -188,10 +226,10 @@ TEST(DecoderParity, AgreeOnHandBuiltSyndromes)
     syndromes.push_back({0, 8});
 
     for (const auto &syn : syndromes) {
-        const std::uint32_t expected = mwpm->decode(syn);
-        EXPECT_EQ(uf->decode(syn), expected)
+        const std::uint32_t expected = mwpm->decodeSpan(syn);
+        EXPECT_EQ(uf->decodeSpan(syn), expected)
             << "uf vs mwpm, |syn|=" << syn.size();
-        EXPECT_EQ(fb->decode(syn), expected)
+        EXPECT_EQ(fb->decodeSpan(syn), expected)
             << "fallback vs mwpm, |syn|=" << syn.size();
     }
     EXPECT_EQ(fb->fallbacks(), 0u);
@@ -200,11 +238,11 @@ TEST(DecoderParity, AgreeOnHandBuiltSyndromes)
 TEST(FallbackDecoder, RoutesOversizedToUnionFindAndCounts)
 {
     auto dem = chainDem(15, 0.01);
-    DecodingGraph g = DecodingGraph::fromDem(dem, chainMeta(15));
+    DecodeGraph g = DecodeGraph::fromDem(dem, chainMeta(15));
     FallbackDecoder fb(g, /*mwpmMaxDefects=*/2);
-    EXPECT_EQ(fb.decode({4, 5}), 0u);
+    EXPECT_EQ(fb.decodeSpan(Syndrome{4, 5}), 0u);
     EXPECT_EQ(fb.fallbacks(), 0u);
-    fb.decode({0, 4, 5, 9});
+    fb.decodeSpan(Syndrome{0, 4, 5, 9});
     EXPECT_EQ(fb.fallbacks(), 1u);
     fb.reset();
     EXPECT_EQ(fb.fallbacks(), 0u);

@@ -155,7 +155,7 @@ TEST(NelderMead, MinimizesRosenbrock)
 TEST(Fit, RecoversAlphaFromReferenceData)
 {
     auto data = referenceRef17Data();
-    CnotFit fit = fitCnotModel(data, /*fixLambda=*/20.0);
+    CnotFit fit = fitCnotAnsatz(data, CnotFitOptions{.fixLambda = 20.0});
     // Reference data was generated at alpha = 1/6 with bounded
     // jitter: the fit must land close (paper reports alpha ~ 1/6).
     EXPECT_NEAR(fit.alpha, 1.0 / 6.0, 0.05);
@@ -166,7 +166,7 @@ TEST(Fit, RecoversAlphaFromReferenceData)
 TEST(Fit, FreeLambdaFitAlsoCloses)
 {
     auto data = referenceRef17Data();
-    CnotFit fit = fitCnotModel(data);
+    CnotFit fit = fitCnotAnsatz(data);
     EXPECT_NEAR(fit.lambda, 20.0, 6.0);
     EXPECT_NEAR(fit.alpha, 1.0 / 6.0, 0.08);
 }
@@ -174,7 +174,7 @@ TEST(Fit, FreeLambdaFitAlsoCloses)
 TEST(Fit, RejectsTinyDatasets)
 {
     std::vector<CnotDataPoint> two(2);
-    EXPECT_THROW(fitCnotModel(two), traq::FatalError);
+    EXPECT_THROW(fitCnotAnsatz(two), traq::FatalError);
 }
 
 TEST(Cultivation, AnchorPoint)
