@@ -6,8 +6,10 @@
  * shards it across N traq_serve subprocesses (src/service/
  * dispatcher.hh): round-robin over live workers, a bounded
  * per-worker inflight window for backpressure, requeue-on-worker-
- * loss with exactly-once output (index dedup).  Output mirrors
- * traq_serve's two modes:
+ * loss with exactly-once output (index dedup).  A worker that
+ * breaks the line protocol is lost like a dead one; with no worker
+ * left, traq_dispatch exits 1 naming the first violation.  Output
+ * mirrors traq_serve's two modes:
  *
  *  - streaming (default): tagged {"index":N,...} lines in arrival
  *    order, N being the global input-line ordinal;
@@ -172,9 +174,9 @@ main(int argc, char **argv)
         }
     }
 
-    // Same contradiction check the service facade makes, before
-    // any worker spawns: a cache file (flag or TRAQ_CACHE_FILE
-    // env) with the result cache off is a configuration lie.
+    // Same contradiction check JobService makes, before any
+    // worker spawns: a cache file (flag or TRAQ_CACHE_FILE env)
+    // with the result cache off is a configuration lie.
     const std::string resolvedCache =
         traq::resolveCacheFile(cacheFile);
     if (!resolvedCache.empty() && !cacheOn) {

@@ -14,10 +14,13 @@
 #      4 worker processes,
 #   6. traq_dispatch streaming mode a permutation: every index exactly
 #      once, untagged payloads matching the golden after reorder, and
-#   7. a worker killed mid-run losing and duplicating nothing, and
+#   7. a worker killed mid-run losing and duplicating nothing,
 #   8. a store written under another decoder never answering the
 #      default one (Monte-Carlo cache keys carry the resolved
-#      decoder and word backend).
+#      decoder and word backend), and
+#   9. workers that break the line protocol failing traq_dispatch
+#      loudly (exit 1, the violation on stderr, nothing on stdout)
+#      instead of aborting it.
 #
 # Byte-identity legs use --ordered (traq_serve's default output is a
 # completion-order stream of {"index":N,...} tagged lines).
@@ -273,3 +276,20 @@ if ! sort_by_index < "$outn" | untag | diff -u "$bigexp" -; then
 fi
 echo "service-smoke: OK   worker kill lost and duplicated nothing" \
      "($total jobs, worker $victim killed)"
+
+# Protocol-violation leg: /bin/cat echoes each request line back
+# untagged, so every worker breaks the line protocol.  Each must be
+# lost like a dead one, and with none left the dispatcher exits 1
+# naming the first violation — never an abort (exit 134).
+status=0
+printf '{"kind":"gidney-ekera"}\n' \
+    | "$DISPATCH" --workers 2 --serve /bin/cat > "$outn" 2> "$stats" \
+    || status=$?
+if [[ "$status" -ne 1 ]] || [[ -s "$outn" ]] \
+        || ! grep -q "protocol error" "$stats"; then
+    echo "service-smoke: FAIL protocol-breaking workers gave exit" \
+         "$status (want 1), stderr was:" >&2
+    cat "$stats" >&2
+    exit 1
+fi
+echo "service-smoke: OK   protocol-breaking workers fail loudly (exit 1)"

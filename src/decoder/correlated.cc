@@ -71,6 +71,13 @@ CorrelatedDecoder::decodeWithContext(
 
     const std::uint32_t first =
         preCorrection ^ inner_.decodeWithContext(syn, ctx, &used_);
+    // The first pass is the answer unless a partner gets boosted.
+    // Report its edges before they are deduplicated: an edge shared
+    // by two paths appears twice, so the list cancels to the
+    // syndrome like the mask does.
+    const std::size_t reported = usedEdges ? usedEdges->size() : 0;
+    if (usedEdges)
+        usedEdges->insert(usedEdges->end(), used_.begin(), used_.end());
     // Two matched paths can share an edge; each distinct edge is one
     // piece of evidence, not one per traversal.
     std::sort(used_.begin(), used_.end());
@@ -124,6 +131,8 @@ CorrelatedDecoder::decodeWithContext(
         return first;  // no evidence worth a second pass
 
     ++secondPasses_;
+    if (usedEdges)
+        usedEdges->resize(reported);
     DecodeContext second = ctx;
     second.weights = *wp;
     const std::uint32_t correction =

@@ -59,8 +59,7 @@ class CorrelatedDecoder final : public Decoder
      * override, matching the other decoders).
      *
      * usedEdges receives the edges of the pass whose correction is
-     * returned — except when no partner edge was boosted: the first
-     * pass is then returned and no edges are appended.
+     * returned.
      */
     std::uint32_t
     decodeWithContext(std::span<const std::uint32_t> syndrome,

@@ -202,6 +202,7 @@ Dispatcher::readerMain(std::size_t slot)
     char *buf = nullptr;
     std::size_t cap = 0;
     ssize_t n;
+    std::string violation;
     while ((n = ::getline(&buf, &cap, w.out)) > 0) {
         if (buf[n - 1] != '\n') {
             // Torn final line from a dying worker: unacknowledged
@@ -209,25 +210,41 @@ Dispatcher::readerMain(std::size_t slot)
             // retry path owns it now.
             break;
         }
-        const wire::TaggedLine tagged =
-            wire::splitTagged(std::string_view(
-                buf, static_cast<std::size_t>(n - 1)));
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = w.unacked.find(tagged.index);
-        TRAQ_REQUIRE(it != w.unacked.end(),
-                     "dispatcher: worker answered unknown line");
-        const std::size_t global = it->second.index;
-        w.unacked.erase(it);
-        if (!emitted_[global]) {
-            emitted_[global] = true;
-            ++answered_;
-            results_.push_back({global, tagged.payload});
+        // An exception escaping this thread would std::terminate
+        // the process; a line that breaks the protocol loses the
+        // worker instead.
+        try {
+            const wire::TaggedLine tagged =
+                wire::splitTagged(std::string_view(
+                    buf, static_cast<std::size_t>(n - 1)));
+            std::lock_guard<std::mutex> lock(mutex_);
+            auto it = w.unacked.find(tagged.index);
+            TRAQ_REQUIRE(it != w.unacked.end(),
+                         "dispatcher: worker answered unknown line");
+            const std::size_t global = it->second.index;
+            w.unacked.erase(it);
+            if (!emitted_[global]) {
+                emitted_[global] = true;
+                ++answered_;
+                results_.push_back({global, tagged.payload});
+            }
+            resultCv_.notify_all();
+            spaceCv_.notify_all();
+        } catch (const FatalError &e) {
+            violation = e.what();
+            break;
         }
-        resultCv_.notify_all();
-        spaceCv_.notify_all();
     }
     ::free(buf);
     std::lock_guard<std::mutex> lock(mutex_);
+    if (!violation.empty()) {
+        if (protocolError_.empty())
+            protocolError_ = "worker " + std::to_string(slot) +
+                             ": " + violation;
+        // Nobody reads its stdout any more; left alive it could
+        // block on a full pipe and never see stdin EOF.
+        ::kill(w.pid, SIGKILL);
+    }
     workerLost(slot);
 }
 
@@ -333,8 +350,7 @@ Dispatcher::submit(std::size_t index, const std::string &line)
         for (const Worker &w : workers_)
             anyLive = anyLive || (w.alive && w.stdinOpen);
         if (!anyLive)
-            TRAQ_FATAL("dispatcher: every worker is dead with "
-                       "work outstanding");
+            failAllDead();
         spaceCv_.wait(lock);
     }
 }
@@ -368,10 +384,20 @@ Dispatcher::waitResult()
         for (const Worker &w : workers_)
             anyLive = anyLive || w.alive;
         if (!anyLive && answered_ < submitted_)
-            TRAQ_FATAL("dispatcher: every worker is dead with "
-                       "work outstanding");
+            failAllDead();
         resultCv_.wait(lock);
     }
+}
+
+void
+Dispatcher::failAllDead() const
+{
+    TRAQ_FATAL("dispatcher: every worker is dead with work "
+               "outstanding" +
+               (protocolError_.empty()
+                    ? std::string()
+                    : " (first protocol error: " + protocolError_ +
+                          ")"));
 }
 
 unsigned

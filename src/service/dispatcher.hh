@@ -17,15 +17,17 @@
  *    lines the dispatcher wrote to it), and a per-worker reader
  *    thread translates local tags back to the caller's global
  *    indices;
- *  - isolates failures: a worker that dies (crash, kill, exit)
- *    takes only its own unacknowledged jobs with it.  Those lines
- *    are requeued onto the surviving workers — results are the
- *    at-least-once retry side; the exactly-once output guarantee
- *    comes from index dedup in waitResult() (a line acknowledged by
- *    a worker just before death may race its requeue; the second
- *    copy is dropped).  Only a *complete* worker line (trailing
- *    newline seen) counts as acknowledged — a torn final line from
- *    a dying worker is discarded, never emitted.  So the requeue
+ *  - isolates failures: a worker that dies (crash, kill, exit) or
+ *    breaks the line protocol (an untagged line, or a tag it was
+ *    never sent; the reader SIGKILLs it) takes only its own
+ *    unacknowledged jobs with it.  Those lines are requeued onto
+ *    the surviving workers — results are the at-least-once retry
+ *    side; the exactly-once output guarantee comes from index
+ *    dedup in waitResult() (a line acknowledged by a worker just
+ *    before death may race its requeue; the second copy is
+ *    dropped).  Only a *complete* worker line (trailing newline
+ *    seen) counts as acknowledged — a torn final line from a dying
+ *    worker is discarded, never emitted.  So the requeue
  *    guarantee holds through the whole drain, every worker's stdin
  *    — including drained, idle workers' — stays open until every
  *    submitted index has been answered: an idle worker is the
@@ -33,7 +35,8 @@
  *    (EOF → exit) would strand the requeue with no live shard;
  *  - fails loudly (FatalError) only when no live worker remains and
  *    unfinished jobs exist — with zero workers nothing can ever
- *    complete, and silence would hang the caller.
+ *    complete, and silence would hang the caller.  The message
+ *    names the first protocol violation, if any.
  *
  * Because every worker runs the same deterministic estimators, the
  * merged results — reordered by global index — are byte-identical
@@ -191,6 +194,9 @@ class Dispatcher
     bool sendToWorker(std::size_t slot, Job job,
                       std::unique_lock<std::mutex> &lock);
     void pumpRequeued(std::unique_lock<std::mutex> &lock);
+    /** Throw the no-live-worker FatalError, naming the first
+     *  protocol violation if any (lock held). */
+    [[noreturn]] void failAllDead() const;
 
     DispatcherOptions opts_;
     std::size_t inflightBound_ = 32;
@@ -206,6 +212,9 @@ class Dispatcher
     std::size_t answered_ = 0; //!< distinct indices emitted
     std::size_t rrNext_ = 0;   //!< round-robin cursor
     bool closed_ = false;
+    /** First line a worker answered outside the protocol, with its
+     *  slot; "" while every worker has kept to it. */
+    std::string protocolError_;
 };
 
 } // namespace traq::service

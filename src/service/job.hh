@@ -1,7 +1,7 @@
 /**
  * @file
  * Job identity layer of the service tier: the types every other
- * service layer (validation, scheduler, facade, dispatcher) speaks.
+ * service layer (validation, JobService, dispatcher) speaks.
  *
  * A job is one submitted EstimateRequest moving through an explicit
  * state machine:
@@ -12,7 +12,7 @@
  *            `--> failed (validation rejected)
  *
  * Transitions are checked (jobStateCanStep + JobStateMachine), so a
- * scheduler bug that skips a stage fails loudly instead of silently
+ * JobService bug that skips a stage fails loudly instead of silently
  * mislabeling a job.  Terminal states (done, failed) have no exits.
  *
  * Errors are structured: a JobError carries a stable machine

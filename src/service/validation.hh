@@ -2,7 +2,7 @@
  * @file
  * Validation / admission layer of the service tier.
  *
- * Sits between the wire (raw request lines) and the scheduler: it
+ * Sits between the wire (raw request lines) and JobService: it
  * turns text into checked work, so by the time a job reaches the
  * ready queue the only failures left are evaluation-time ones.
  * Three steps, each with its own structured error class (job.hh
@@ -10,8 +10,8 @@
  *
  *   1. parseRequestLine — JSON text -> EstimateRequest(s).  A line
  *      that is not JSON is errc::json; JSON of the wrong shape for
- *      an EstimateRequest is errc::shape.  Neither ever reaches the
- *      scheduler, matching the pre-split traq_serve behavior where
+ *      an EstimateRequest is errc::shape.  Neither ever reaches
+ *      JobService, matching the pre-split traq_serve behavior where
  *      malformed lines were answered directly and never counted in
  *      queue statistics.
  *   2. kind resolution — the EstimatorPool instantiates (and caches)
@@ -27,7 +27,7 @@
  *
  * Steps 2 and 3 produce a Validated ticket: either a request plus
  * its cache key, or a structured JobError (keyed by canonicalKey).
- * Both outcomes are admitted to the scheduler — deterministic
+ * Both outcomes are admitted to JobService — deterministic
  * validation failures are cached and persisted exactly like
  * evaluation failures were in the monolithic JobQueue, so stats
  * counters and golden output bytes are unchanged.  The exception is
@@ -53,7 +53,7 @@ namespace traq::service {
 /**
  * Shared per-kind estimator instances.  estimate() is const and
  * thread-safe by contract, so one instance per kind is shared by the
- * validator (checkParams) and every scheduler worker; sharing keeps
+ * validator (checkParams) and every JobService worker; sharing keeps
  * per-instance memo caches (e.g. qldpc-storage's reference solve)
  * warm across jobs.  Thread-safe.
  */
@@ -112,7 +112,7 @@ class Validator
   public:
     /**
      * @param pool        shared estimator instances (also used by
-     *                    the scheduler workers).
+     *                    the JobService workers).
      * @param computeKey  fill Validated::key for cacheable
      *                    admission; off when the result cache is
      *                    off.
@@ -128,10 +128,10 @@ class Validator
      * exact message estimate() would have produced — because
      * deterministic validation failures are admitted, cached, and
      * persisted like any other outcome.  An environment the kind
-     * cannot resolve comes back as errc::env, which the scheduler
+     * cannot resolve comes back as errc::env, which JobService
      * does not persist.  Kinds whose checkParams is
      * the accept-everything default defer bad parameters to
-     * evaluation (errc::estimate, assigned by the scheduler).
+     * evaluation (errc::estimate, assigned by JobService).
      */
     Validated validate(est::EstimateRequest req) const;
 

@@ -184,7 +184,8 @@ TEST(Predecode, OnOffCorrectionsIdenticalForAllKinds)
             // syndrome (boundary exits aside).
             const bool reportsEdges = kind == DecoderKind::UnionFind ||
                                       kind == DecoderKind::Mwpm ||
-                                      kind == DecoderKind::Fallback;
+                                      kind == DecoderKind::Fallback ||
+                                      kind == DecoderKind::Correlated;
             std::vector<std::uint32_t> used;
             for (std::uint64_t s = 0; s < syn.shots(); ++s) {
                 const auto shot = syn.syndrome(s);

@@ -162,6 +162,21 @@ TEST(CacheFileEnv, ResolutionAndLoudness)
     opts.cache = false;
     opts.cacheFile = "/tmp/whatever.cas";
     EXPECT_THROW(service::JobService{opts}, FatalError);
+
+    // The same check covers a path that comes from the environment.
+    // The env path is unopenable, so only the message tells the
+    // contradiction check apart from a failed open.
+    ASSERT_EQ(setenv("TRAQ_CACHE_FILE", "/env/c.cas", 1), 0);
+    opts.cacheFile.clear();
+    try {
+        service::JobService svc(opts);
+        ADD_FAILURE() << "TRAQ_CACHE_FILE with the cache off accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "a cache file requires the result cache"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(GlobalMemo, LookupServesExactContentOnly)

@@ -1,11 +1,12 @@
 /**
  * @file
  * Tests for the layered service tier: the JobState machine (job.hh),
- * parse/validation structured errors (validation.hh), scheduler
- * backpressure (scheduler.hh), the wire tag format (wire.hh), the
- * CaStore single-writer lock, and the multi-process dispatcher
- * (dispatcher.hh) — including N-worker --ordered byte-identity and
- * the kill-a-worker retry path.
+ * parse/validation structured errors (validation.hh), JobService
+ * backpressure and completion streaming (job_service.hh), the wire
+ * tag format (wire.hh), the CaStore single-writer lock, and the
+ * multi-process dispatcher (dispatcher.hh) — including N-worker
+ * --ordered byte-identity, the kill-a-worker retry path and workers
+ * that break the line protocol.
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +30,6 @@
 #include "src/estimator/estimator.hh"
 #include "src/service/dispatcher.hh"
 #include "src/service/job_service.hh"
-#include "src/service/scheduler.hh"
 #include "src/service/validation.hh"
 #include "src/service/wire.hh"
 
@@ -259,7 +259,7 @@ TEST(Validation, OutcomeCarriesTheErrorClass)
 }
 
 // ---------------------------------------------------------------
-// Scheduler backpressure
+// JobService backpressure and completion stream
 // ---------------------------------------------------------------
 
 /** Gate shared with the blocking test estimator. */
@@ -642,6 +642,31 @@ TEST(Dispatcher, DrainedWorkerAbsorbsDeathAfterCloseSubmissions)
     EXPECT_NE(got.at(0).find("\"feasible\":true"),
               std::string::npos)
         << got.at(0);
+}
+
+TEST(Dispatcher, ProtocolViolatingWorkersFailLoudlyWithoutAborting)
+{
+    // /bin/cat echoes each request line back untagged, so every
+    // answer breaks the line protocol.  The reader must not let the
+    // parse error escape its thread (std::terminate): each worker is
+    // killed and lost, its job requeued onto the other, and once no
+    // worker is left the drain fails loudly, naming the first
+    // violation.
+    service::DispatcherOptions opts;
+    opts.servePath = "/bin/cat";
+    opts.workers = 2;
+    service::Dispatcher dispatcher(opts);
+    dispatcher.submit(0, "{\"kind\":\"gidney-ekera\"}");
+    dispatcher.closeSubmissions();
+    try {
+        dispatcher.waitResult();
+        ADD_FAILURE() << "a protocol-breaking worker gave a result";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("missing index tag"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(dispatcher.liveWorkers(), 0u);
 }
 
 } // namespace
