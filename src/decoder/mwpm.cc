@@ -25,6 +25,31 @@ constexpr std::size_t kReachCacheMaxSlots = 4096;
  *  same comparator std::priority_queue<..., std::greater<>> uses. */
 constexpr std::greater<> kHeapOrder{};
 
+/**
+ * The boundary bound: defects i and j with boundary exits b_i, b_j
+ * are never matched to each other when their distance d_ij exceeds
+ * pairBound(b_i + b_j) = x + δ(x), with δ(x) = 1e-6·(1 + x):
+ *  - take a subset S whose lowest defect is i, and such a partner j;
+ *  - solve() evaluates the boundary candidate fl(solve(S∖i) + b_i)
+ *    first and takes a partner only on a strict <;
+ *  - sending j to the boundary is one matching of S∖i, so
+ *    solve(S∖i) <= solve(S∖{i,j}) + b_j, up to the rounding of
+ *    adding the same (at most 22) terms in another order: ~5e-15
+ *    relative, under 1e-9 for any cost below 1e5, far under δ;
+ *  - so the pair candidate fl(solve(S∖{i,j}) + d_ij) exceeds the
+ *    boundary candidate and cannot win the strict <.
+ * Cutting such a pair leaves every DP cost and choice as it was.  An
+ * infinite exit makes the bound infinite, so a cut always joins two
+ * defects that both reach the boundary.  The bound and each of its
+ * rounded steps are monotone in x, so a search may stop at the
+ * largest bound any later defect can use.
+ */
+double
+pairBound(double x)
+{
+    return x + 1e-6 * (1.0 + x);
+}
+
 } // namespace
 
 MwpmDecoder::MwpmDecoder(const DecodeGraph &graph,
@@ -82,7 +107,8 @@ MwpmDecoder::invalidateReachCache()
 void
 MwpmDecoder::searchFrom(std::uint32_t source, const DecodeContext &ctx,
                         bool bounded,
-                        std::span<const std::uint32_t> targets)
+                        std::span<const std::uint32_t> targets,
+                        double laterExit)
 {
     // One stamp epoch per search: dist_/fromEdge_ are valid only for
     // nodes the search actually reached, so the reset is O(1), not
@@ -116,11 +142,14 @@ MwpmDecoder::searchFrom(std::uint32_t source, const DecodeContext &ctx,
 
     while (!heap_.empty()) {
         // Every later pop is at least the heap top, and weights are
-        // >= 0: once the targets are settled and the top cannot beat
-        // the boundary exit (strict <), nothing a later pop does can
-        // change a value the caller reads.
-        if (bounded && pending == 0 &&
-            heap_.front().first >= bestBoundary)
+        // >= 0: once the top cannot beat the boundary exit (strict
+        // <), that exit is final.  A target still unsettled then
+        // has distance >= top, so once the top also passes the
+        // largest pair bound any later defect can use, the caller
+        // would cut every such target anyway.
+        const double top = heap_.front().first;
+        if (bounded && top >= bestBoundary &&
+            (pending == 0 || top > pairBound(bestBoundary + laterExit)))
             break;
         std::pop_heap(heap_.begin(), heap_.end(), kHeapOrder);
         const auto [d, u] = heap_.back();
@@ -167,14 +196,13 @@ MwpmDecoder::searchFrom(std::uint32_t source, const DecodeContext &ctx,
 
 template <class DistFn, class EdgeFn>
 void
-MwpmDecoder::fillReaches(std::uint32_t source,
-                         std::span<const std::uint32_t> targets,
-                         std::size_t first, bool wantEdges,
-                         DistFn distOf, EdgeFn fromEdgeOf,
-                         double boundaryDist, std::int32_t boundaryNode,
-                         std::int32_t boundaryEdge,
-                         std::vector<Reach> *out, Reach *boundary)
+MwpmDecoder::fillReaches(std::span<const std::uint32_t> syn,
+                         std::size_t i, bool wantEdges, DistFn distOf,
+                         EdgeFn fromEdgeOf, double boundaryDist,
+                         std::int32_t boundaryNode,
+                         std::int32_t boundaryEdge)
 {
+    const std::uint32_t source = syn[i];
     auto fillPath = [&](std::uint32_t node, Reach *r) {
         r->obs = 0;
         r->edges.clear();
@@ -192,16 +220,22 @@ MwpmDecoder::fillReaches(std::uint32_t source,
         }
     };
 
-    if (out->size() < targets.size())
-        out->resize(targets.size());
-    for (std::size_t j = first; j < targets.size(); ++j) {
-        Reach &r = (*out)[j];
-        r.dist = distOf(targets[j]);
+    // Later rows are filled, so every b_j is known: cut the pairs
+    // past the boundary bound (see pairBound) before the DP.
+    std::vector<Reach> &row = pair_[i];
+    if (row.size() < syn.size())
+        row.resize(syn.size());
+    for (std::size_t j = i + 1; j < syn.size(); ++j) {
+        Reach &r = row[j];
+        r.dist = distOf(syn[j]);
+        if (r.dist > pairBound(boundaryDist + toBoundary_[j].dist))
+            r.dist = kInf;
         r.obs = 0;
         r.edges.clear();
         if (r.dist < kInf)
-            fillPath(targets[j], &r);
+            fillPath(syn[j], &r);
     }
+    Reach *boundary = &toBoundary_[i];
     boundary->dist = boundaryDist;
     boundary->obs = 0;
     boundary->edges.clear();
@@ -216,15 +250,13 @@ MwpmDecoder::fillReaches(std::uint32_t source,
 const MwpmDecoder::SsspSlot &
 MwpmDecoder::ensureSlot(std::uint32_t source, const DecodeContext &ctx)
 {
-    if (cacheStampOf_[source] == cacheEpoch_) {
-        ++cacheHits_;
+    if (cacheStampOf_[source] == cacheEpoch_)
         return slots_[cacheSlotOf_[source]];
-    }
     // First occurrence of this source in the current epoch: run the
     // full search into the epoch-stamped scratch, then snapshot it.
     // The snapshot IS the scratch state, so the cached and uncached
     // paths read identical distances and predecessor edges.
-    searchFrom(source, ctx, /*bounded=*/false, {});
+    searchFrom(source, ctx, /*bounded=*/false, {}, kInf);
     cacheStampOf_[source] = cacheEpoch_;
     cacheSlotOf_[source] = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
@@ -295,6 +327,8 @@ MwpmDecoder::solve(std::uint32_t mask)
     // The lowest defect i either exits via the boundary or pairs
     // with a later defect j — boundary first, then partners
     // ascending, strict <, so ties resolve as in a bottom-up sweep.
+    // A cut or unreachable partner (kInf) can never win, so its
+    // sub-mask is not solved.
     const int i = std::countr_zero(mask);
     const std::uint32_t rest = mask & (mask - 1);
     double best = solve(rest) + toBoundary_[i].dist;
@@ -302,6 +336,8 @@ MwpmDecoder::solve(std::uint32_t mask)
     const std::vector<Reach> &row = pair_[i];
     for (std::uint32_t sub = rest; sub; sub &= sub - 1) {
         const int j = std::countr_zero(sub);
+        if (row[j].dist == kInf)
+            continue;
         const double c = solve(rest ^ (1u << j)) + row[j].dist;
         if (c < best) {
             best = c;
@@ -377,41 +413,51 @@ MwpmDecoder::decodeWithContext(std::span<const std::uint32_t> syndrome,
         return preCorrection;
 
     // Distances from each defect to the later ones and to the
-    // boundary.  The reach cache only answers default-context
-    // searches: weight overrides (correlated second pass, heralded
-    // shots) and round horizons (windowed) change the metric, so
-    // those decodes always run the bounded uncached search.
+    // boundary, last defect first, so that row i knows every later
+    // b_j and can cut its pairs past the boundary bound.  The reach
+    // cache only answers default-context searches: weight overrides
+    // (correlated second pass, heralded shots) and round horizons
+    // (windowed) change the metric, so those decodes always run the
+    // bounded uncached search.  Both paths cut the same pairs, so
+    // the DP reads the same rows from either.
     const bool cacheable = reachCache_ && ctx.weights.empty() &&
                            ctx.maxRound < 0 &&
                            graph_.numNodes() <= kReachCacheMaxNodes;
     const bool wantEdges = usedEdges != nullptr;
     pair_.resize(std::max(pair_.size(), m));
     toBoundary_.resize(std::max(toBoundary_.size(), m));
-    for (std::size_t i = 0; i < m; ++i) {
+    double laterExit = 0.0;  // max b_j over the rows filled so far
+    for (std::size_t i = m; i-- > 0;) {
         if (cacheable && (cacheStampOf_[syn[i]] == cacheEpoch_ ||
                           slots_.size() < kReachCacheMaxSlots)) {
             const SsspSlot &slot = ensureSlot(syn[i], ctx);
             fillReaches(
-                syn[i], syn, i + 1, wantEdges,
+                syn, i, wantEdges,
                 [&](std::uint32_t node) { return slot.dist[node]; },
                 [&](std::uint32_t node) {
                     return slot.fromEdge[node];
                 },
                 slot.boundaryDist, slot.boundaryNode,
-                slot.boundaryEdge, &pair_[i], &toBoundary_[i]);
+                slot.boundaryEdge);
         } else {
             searchFrom(syn[i], ctx, /*bounded=*/true,
-                       syn.subspan(i + 1));
+                       syn.subspan(i + 1), laterExit);
+            // A target the search left unsettled still carries the
+            // current targetStamp_; it reads as unreachable, and the
+            // cut would drop it anyway.
             fillReaches(
-                syn[i], syn, i + 1, wantEdges,
+                syn, i, wantEdges,
                 [&](std::uint32_t node) {
-                    return distStamp_[node] == epoch_ ? dist_[node]
-                                                      : kInf;
+                    return distStamp_[node] == epoch_ &&
+                                   targetStamp_[node] != epoch_
+                               ? dist_[node]
+                               : kInf;
                 },
                 [&](std::uint32_t node) { return fromEdge_[node]; },
                 searchBoundaryDist_, searchBoundaryNode_,
-                searchBoundaryEdge_, &pair_[i], &toBoundary_[i]);
+                searchBoundaryEdge_);
         }
+        laterExit = std::max(laterExit, toBoundary_[i].dist);
     }
 
     // Min-cost pairing of all defects (each with another defect or

@@ -23,11 +23,17 @@
  * correlated decoder feeds back across partner hyperedges.
  *
  * Searches run over a flat per-node arc array built once from the
- * graph, with a reused binary heap.  A search the reach cache does
- * not snapshot stops as soon as every later defect is settled and no
- * unsettled node can still improve the boundary exit: the DP and the
- * reconstruction only read pair rows j > i, and nothing past that
- * point can change them.  Dijkstra's distance/predecessor arrays are
+ * graph, with a reused binary heap.  Rows are filled from the last
+ * defect to the first, so the row of defect i knows the boundary
+ * exit b_j of every later defect j.  A pair whose distance exceeds
+ * b_i + b_j (plus a rounding margin) is never matched, since sending
+ * both defects to the boundary is never worse; such pairs are cut
+ * from the rows before the DP, which then skips them (the bound
+ * sparse blossom uses too, Higgott & Gidney, arXiv:2303.15933).  A
+ * search the reach cache does not snapshot stops once no unsettled
+ * node can improve the boundary exit and either every later defect
+ * is settled or the heap top passes the largest pair bound any of
+ * them can use.  Dijkstra's distance/predecessor arrays are
  * epoch-stamped and every table is a reused member, so a decode
  * allocates nothing warm and clears only what it reaches — the
  * per-worker arena scratch the batch decode path leans on.
@@ -99,9 +105,6 @@ class MwpmDecoder final : public Decoder
         invalidateReachCache();
     }
 
-    /** Dijkstra searches answered from the reach cache. */
-    std::uint64_t reachCacheHits() const { return cacheHits_; }
-
     /** Drop every cached single-source search (epoch bump). */
     void invalidateReachCache();
     const char *name() const override { return "mwpm"; }
@@ -145,7 +148,8 @@ class MwpmDecoder final : public Decoder
 
     // Reused per-decode tables (rows keep their capacity warm).
     // pair_[i][j] is filled for j > i only: the DP always pairs the
-    // lowest defect of a subset, so no other entry is ever read.
+    // lowest defect of a subset, so no other entry is ever read.  A
+    // cut pair reads as kInf, like an unreachable one.
     std::vector<std::vector<Reach>> pair_;
     std::vector<Reach> toBoundary_;
 
@@ -187,7 +191,6 @@ class MwpmDecoder final : public Decoder
     };
     bool reachCache_ = false;
     std::uint32_t cacheEpoch_ = 1;
-    std::uint64_t cacheHits_ = 0;
     std::vector<std::uint32_t> cacheStampOf_; //!< per node
     std::vector<std::uint32_t> cacheSlotOf_;  //!< valid when stamped
     std::vector<SsspSlot> slots_;
@@ -200,29 +203,34 @@ class MwpmDecoder final : public Decoder
     /**
      * Dijkstra from a defect into the epoch-stamped scratch and the
      * searchBoundary*_ members, honoring the context's weights and
-     * round horizon.  With bounded set, the search stops once every
-     * node of targets is settled and the heap top cannot improve the
-     * boundary exit; every value it reports is then already final.
+     * round horizon.  With bounded set, the search stops once the
+     * heap top cannot improve the boundary exit b and either every
+     * node of targets is settled or the top passes the pair bound of
+     * b + laterExit, where laterExit is the largest boundary exit of
+     * any target.  The boundary exit and every settled target's
+     * distance and path are then final; a target left unsettled
+     * still carries the current targetStamp_, and its pair is one
+     * the caller cuts.
      */
     void searchFrom(std::uint32_t source, const DecodeContext &ctx,
                     bool bounded,
-                    std::span<const std::uint32_t> targets);
+                    std::span<const std::uint32_t> targets,
+                    double laterExit);
 
     /** Cached-path search: snapshot a full search on first use of a
      *  source, then answer from the slot. */
     const SsspSlot &ensureSlot(std::uint32_t source,
                                const DecodeContext &ctx);
 
-    /** Turn a distance/predecessor store (scratch or slot) into the
-     *  Reach rows of targets[first..] and the boundary exit. */
+    /** Turn a distance/predecessor store (scratch or slot) searched
+     *  from syn[i] into pair_[i][i+1..] and toBoundary_[i], cutting
+     *  the pairs past the boundary bound.  Needs toBoundary_[j] for
+     *  every j > i. */
     template <class DistFn, class EdgeFn>
-    void fillReaches(std::uint32_t source,
-                     std::span<const std::uint32_t> targets,
-                     std::size_t first, bool wantEdges, DistFn distOf,
-                     EdgeFn fromEdgeOf, double boundaryDist,
-                     std::int32_t boundaryNode,
-                     std::int32_t boundaryEdge, std::vector<Reach> *out,
-                     Reach *boundary);
+    void fillReaches(std::span<const std::uint32_t> syn, std::size_t i,
+                     bool wantEdges, DistFn distOf, EdgeFn fromEdgeOf,
+                     double boundaryDist, std::int32_t boundaryNode,
+                     std::int32_t boundaryEdge);
 
     /** Size the memo for m defects and start a fresh epoch. */
     void resetMemo(std::size_t m);

@@ -101,18 +101,17 @@ UnionFindDecoder::decodeWithContext(
     std::span<const std::uint32_t> syndrome, const DecodeContext &ctx,
     std::vector<std::uint32_t> *usedEdges)
 {
-    // Resolve the effective quantized weights for this call.
+    // Effective quantized weight of an edge: a context override is
+    // quantized where growth reads it, so a decode costs only the
+    // edges it touches.
     TRAQ_REQUIRE(ctx.weights.empty() ||
                      ctx.weights.size() == graph_.edges().size(),
                  "context weight override size mismatch");
-    const std::vector<std::uint32_t> *wq = &edgeWeightQ_;
-    if (!ctx.weights.empty()) {
-        ctxWeightQ_.resize(ctx.weights.size());
-        for (std::size_t i = 0; i < ctx.weights.size(); ++i)
-            ctxWeightQ_[i] = quantize(ctx.weights[i]);
-        wq = &ctxWeightQ_;
-    }
-    const std::vector<std::uint32_t> &weightQ = *wq;
+    const std::span<const double> ctxWeights = ctx.weights;
+    auto weightQ = [&](std::uint32_t ei) {
+        return ctxWeights.empty() ? edgeWeightQ_[ei]
+                                  : quantize(ctxWeights[ei]);
+    };
     const std::int32_t maxRound = ctx.maxRound;
     auto hidden = [&](const GraphEdge &e) {
         return maxRound >= 0 && e.round > maxRound;
@@ -160,13 +159,13 @@ UnionFindDecoder::decodeWithContext(
                 const GraphEdge &e = graph_.edges()[ei];
                 if (hidden(e))
                     continue;  // beyond the round horizon
-                if (growthOf(ei) >= weightQ[ei])
+                if (growthOf(ei) >= weightQ(ei))
                     continue;  // already solid
                 if (e.u == kBoundary) {
                     if (find(e.v) != root)
                         continue;  // stale
                     growEdge(ei);
-                    if (growth_[ei] < weightQ[ei]) {
+                    if (growth_[ei] < weightQ(ei)) {
                         keep.push_back(ei);
                         continue;
                     }
@@ -184,7 +183,7 @@ UnionFindDecoder::decodeWithContext(
                 if (ru != root && rv != root)
                     continue;  // stale inherited edge
                 growEdge(ei);
-                if (growth_[ei] < weightQ[ei]) {
+                if (growth_[ei] < weightQ(ei)) {
                     keep.push_back(ei);
                     continue;
                 }

@@ -52,11 +52,12 @@ class UnionFindDecoder final : public Decoder
                               int predecodeRadius = 2);
 
     /**
-     * Decode under a context.  Non-default weights are requantized
-     * per call (an O(edges) pass — acceptable because composite
-     * decoders only route the rare oversized syndromes here).  If
-     * usedEdges is non-null the correction's flipped edges are
-     * appended to it.
+     * Decode under a context.  Non-default weights are quantized
+     * edge by edge as growth reads them, so a reweighted decode
+     * costs only the edges it touches: the composites route every
+     * syndrome above the MWPM cap here, which on lossy circuits is
+     * most heralded shots at d=7.  If usedEdges is non-null the
+     * correction's flipped edges are appended to it.
      */
     std::uint32_t
     decodeWithContext(std::span<const std::uint32_t> syndrome,
@@ -69,7 +70,6 @@ class UnionFindDecoder final : public Decoder
   private:
     const DecodeGraph &graph_;
     std::vector<std::uint32_t> edgeWeightQ_;  //!< quantized weights
-    std::vector<std::uint32_t> ctxWeightQ_;   //!< per-call override
 
     // Epoch-stamped arena (see file comment).  Node state is
     // initialized on first touch per decode; edge growth likewise.

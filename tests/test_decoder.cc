@@ -2,9 +2,10 @@
  * @file
  * Tests for decoding-graph construction, the union-find decoder, and
  * the exact MWPM decoder on hand-built graphs and small experiments:
- * optimality against a brute-force oracle on real d=3 graphs, and a
- * digest that pins the corrections of the lossy transversal-CNOT
- * workload bit for bit.
+ * optimality against a brute-force oracle on real d=3 graphs and the
+ * d=5 lossy CNOT graph (where the matcher cuts most far-apart pairs),
+ * and a digest that pins the corrections of the lossy
+ * transversal-CNOT workload bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -499,6 +500,7 @@ TEST(Mwpm, MatchesBruteForceOnSmallGraphs)
     // Real graphs against the all-pairs + enumeration oracle.
     expectOptimalOnGraph(memoryGraph(), 0x6d656d);
     expectOptimalOnGraph(cnotLossSetup(3)->graph, 0x636e6f74);
+    expectOptimalOnGraph(cnotLossSetup(5)->graph, 0x636e6f7435);
 }
 
 TEST(Mwpm, UnmatchableDefectThrowsNamingIt)
@@ -553,15 +555,17 @@ TEST(Mwpm, UnmatchableDefectThrowsNamingIt)
 }
 
 /**
- * Bit-identity lock for the matcher rewrite: 2,048 seeded lossy
- * transversal-CNOT shots per distance, decoded per shot the way the
- * erasure-aware engine does (fired heralds zero their edges in a
- * context override), by the Fallback, Correlated and Windowed kinds
- * with the reach cache on and off.  Each shot's prediction, fallback
- * delta and used-edge list (where the kind reports one) are folded
- * into one FNV-1a digest.  The expected digests were computed with
- * the 2^m subset-sweep matcher that preceded the reachable-state DP
- * and the bounded search (the correlated ones re-pinned since, see
+ * Bit-identity lock for the matcher rewrite: seeded lossy
+ * transversal-CNOT shots (2,048 at d=3 and d=5, 512 at d=7, where
+ * the matcher's graph is largest and union-find takes most shots),
+ * decoded per shot the way the erasure-aware engine does (fired
+ * heralds zero their edges in a context override), by the Fallback,
+ * Correlated and Windowed kinds with the reach cache on and off.
+ * Each shot's prediction, fallback delta and used-edge list (where
+ * the kind reports one) are folded into one FNV-1a digest.  The
+ * expected digests were computed with the 2^m subset-sweep matcher
+ * that preceded the reachable-state DP and the bounded search (the
+ * correlated ones re-pinned since, and the d=7 row added later; see
  * below); any change to a correction, an edge list or a counter
  * moves them.
  */
@@ -570,18 +574,24 @@ TEST(Mwpm, CnotLossCorrectionDigestPinned)
     struct Pin
     {
         int d;
+        std::size_t shots;
         std::uint64_t fallback, correlated, windowed;
     };
     // The fallback and windowed columns were computed with the
     // subset-sweep matcher, before the rewrite.  The correlated
     // column was re-pinned when that decoder began reporting its
     // first pass's edges when no partner is boosted (its masks did
-    // not change; only the folded edge lists did).
+    // not change; only the folded edge lists did).  The d=7 row was
+    // computed with the bounded search that ran until every later
+    // defect was settled, before pairs past the boundary bound were
+    // cut.
     constexpr Pin kPins[] = {
-        {3, 0xb708c85aa81650e5ULL, 0xdb55acdc160bda5dULL,
+        {3, 2048, 0xb708c85aa81650e5ULL, 0xdb55acdc160bda5dULL,
          0x2307dfc87f4de1b5ULL},
-        {5, 0xf8a9c8467050691aULL, 0xc47367760fca4652ULL,
+        {5, 2048, 0xf8a9c8467050691aULL, 0xc47367760fca4652ULL,
          0x95baf7efcc8ca887ULL},
+        {7, 512, 0xb7dcb93cba3090ecULL, 0xaafd4ee3da1945f9ULL,
+         0x1403c83051eaa2c3ULL},
     };
     for (const Pin &pin : kPins) {
         const auto setup = cnotLossSetup(pin.d);
@@ -596,7 +606,7 @@ TEST(Mwpm, CnotLossCorrectionDigestPinned)
         sim::SyndromeBlock block;
         const std::uint64_t live = ~0ULL;
         std::vector<std::vector<std::uint32_t>> syns, heralds;
-        while (syns.size() < 2048) {
+        while (syns.size() < pin.shots) {
             fs.sampleInto(*setup->compiled, batch);
             sim::extractSyndromeBlock(batch, {&live, 1}, block);
             for (std::uint64_t s = 0; s < block.shots(); ++s) {
