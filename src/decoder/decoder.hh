@@ -130,11 +130,18 @@ bool resolveGlobalMemo(int requested);
  */
 bool resolveCompileCache(int requested);
 
+/**
+ * Default largest syndrome the exact MWPM stage decodes: the default
+ * of DecoderConfig, McOptions, FallbackDecoder and MwpmDecoder alike,
+ * so a matcher built directly routes like a factory-built one.
+ */
+inline constexpr std::size_t kDefaultMwpmMaxDefects = 16;
+
 /** Construction-time options shared by all decoder kinds. */
 struct DecoderConfig
 {
     /** Largest syndrome the exact MWPM stage decodes. */
-    std::size_t mwpmMaxDefects = 16;
+    std::size_t mwpmMaxDefects = kDefaultMwpmMaxDefects;
     /**
      * Ceiling on the posterior probability a partner edge of a
      * first-pass correction can be boosted to (correlated decoder).

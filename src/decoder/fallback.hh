@@ -39,7 +39,8 @@ class FallbackDecoder final : public Decoder
 {
   public:
     FallbackDecoder(const DecodeGraph &graph,
-                    std::size_t mwpmMaxDefects = 16,
+                    std::size_t mwpmMaxDefects =
+                        kDefaultMwpmMaxDefects,
                     bool predecode = false, int predecodeRadius = 2,
                     bool reachCache = false);
 

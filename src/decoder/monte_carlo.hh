@@ -59,7 +59,7 @@ struct McOptions
      * e.g. "correlated") overrides this at run() time.
      */
     DecoderKind decoder = DecoderKind::Fallback;
-    std::size_t mwpmMaxDefects = 16;
+    std::size_t mwpmMaxDefects = kDefaultMwpmMaxDefects;
     /** Partner-edge posterior for the correlated decoder. */
     double correlationBoost = 0.5;
     /** Window/commit depths (rounds) for the windowed decoder. */

@@ -72,7 +72,8 @@ class MwpmDecoder final : public Decoder
      *        TRAQ_REACH_CACHE (default on).
      */
     explicit MwpmDecoder(const DecodeGraph &graph,
-                         std::size_t maxDefects = 18,
+                         std::size_t maxDefects =
+                             kDefaultMwpmMaxDefects,
                          bool predecode = false,
                          int predecodeRadius = 2,
                          bool reachCache = false);

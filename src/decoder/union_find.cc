@@ -66,7 +66,7 @@ UnionFindDecoder::touchNode(std::int32_t i)
         parity_[i] = 0;
         touchesBoundary_[i] = 0;
         defect_[i] = 0;
-        frontier_[i].clear();
+        frontier_[i] = {};
     }
 }
 
@@ -127,49 +127,58 @@ UnionFindDecoder::decodeWithContext(
         defect_[d] ^= 1;
     }
 
-    // Frontier edge lists, indexed by cluster root (lazily cleaned).
-    std::vector<std::int32_t> active;
+    // Frontier edge lists, indexed by cluster root (lazily cleaned),
+    // as slices of pool_.
+    pool_.clear();
+    active_.clear();
     for (std::uint32_t d : syn) {
         if (parity_[d]) {
-            frontier_[d] = graph_.incident(d);
-            active.push_back(static_cast<std::int32_t>(d));
+            const auto &inc = graph_.incident(d);
+            frontier_[d] = {static_cast<std::uint32_t>(pool_.size()),
+                            static_cast<std::uint32_t>(inc.size())};
+            pool_.insert(pool_.end(), inc.begin(), inc.end());
+            active_.push_back(static_cast<std::int32_t>(d));
         }
     }
 
-    std::vector<std::uint32_t> solid;
+    solid_.clear();
     std::size_t guard = 0;
-    while (!active.empty()) {
+    while (!active_.empty()) {
         TRAQ_ASSERT(++guard < 100000,
                     "union-find growth failed to terminate");
-        std::vector<std::int32_t> nextActive;
-        for (std::int32_t rootRaw : active) {
+        nextActive_.clear();
+        for (std::int32_t rootRaw : active_) {
             std::int32_t root = find(rootRaw);
             if (root != rootRaw)
                 continue;  // absorbed earlier this pass
             if (!parity_[root] || touchesBoundary_[root])
                 continue;
 
-            std::vector<std::uint32_t> local =
-                std::move(frontier_[root]);
-            frontier_[root].clear();
-            std::vector<std::uint32_t> keep, pending;
+            // Take the root's frontier.  Nothing writes the pool until
+            // the deposit below (merged frontiers are copied out of it
+            // into pending_), so local stays readable.
+            const Slice local = frontier_[root];
+            frontier_[root] = {};
+            keep_.clear();
+            pending_.clear();
             std::size_t idx = 0;
-            for (; idx < local.size(); ++idx) {
-                std::uint32_t ei = local[idx];
+            for (; idx < local.size; ++idx) {
+                std::uint32_t ei = pool_[local.start + idx];
                 const GraphEdge &e = graph_.edges()[ei];
                 if (hidden(e))
                     continue;  // beyond the round horizon
-                if (growthOf(ei) >= weightQ(ei))
+                const std::uint32_t wq = weightQ(ei);
+                if (growthOf(ei) >= wq)
                     continue;  // already solid
                 if (e.u == kBoundary) {
                     if (find(e.v) != root)
                         continue;  // stale
                     growEdge(ei);
-                    if (growth_[ei] < weightQ(ei)) {
-                        keep.push_back(ei);
+                    if (growth_[ei] < wq) {
+                        keep_.push_back(ei);
                         continue;
                     }
-                    solid.push_back(ei);
+                    solid_.push_back(ei);
                     touchesBoundary_[root] = 1;
                     ++idx;
                     break;  // cluster neutralized
@@ -183,70 +192,83 @@ UnionFindDecoder::decodeWithContext(
                 if (ru != root && rv != root)
                     continue;  // stale inherited edge
                 growEdge(ei);
-                if (growth_[ei] < weightQ(ei)) {
-                    keep.push_back(ei);
+                if (growth_[ei] < wq) {
+                    keep_.push_back(ei);
                     continue;
                 }
-                solid.push_back(ei);
+                solid_.push_back(ei);
                 // Merge with the far cluster.
                 std::int32_t farNode = (ru == root) ? e.v : e.u;
                 std::int32_t farRoot = (ru == root) ? rv : ru;
                 unite(root, farRoot);
                 std::int32_t merged = find(root);
-                if (!frontier_[farRoot].empty()) {
-                    for (std::uint32_t fe : frontier_[farRoot])
-                        pending.push_back(fe);
-                    frontier_[farRoot].clear();
-                }
-                for (std::uint32_t fe :
-                     graph_.incident(
-                         static_cast<std::size_t>(farNode)))
-                    pending.push_back(fe);
+                const Slice far = frontier_[farRoot];
+                pending_.insert(pending_.end(),
+                                pool_.begin() + far.start,
+                                pool_.begin() + far.start + far.size);
+                frontier_[farRoot] = {};
+                const auto &inc =
+                    graph_.incident(static_cast<std::size_t>(farNode));
+                pending_.insert(pending_.end(), inc.begin(), inc.end());
                 root = merged;
                 if (!parity_[root] || touchesBoundary_[root]) {
                     ++idx;
                     break;  // neutralized by merge
                 }
             }
-            // Deposit kept, pending, and any unprocessed tail into the
-            // (possibly new) root's frontier.
+            // Deposit kept, pending, and any unprocessed tail as the
+            // (possibly new) root's frontier: a fresh slice at the
+            // pool's end.  The target is always empty — the visited
+            // root's frontier was taken above, and every root merged
+            // since had its frontier moved into pending_ — so the
+            // slice replaces it rather than appending.
             std::int32_t m = find(root);
-            auto &dst = frontier_[m];
-            for (std::uint32_t fe : keep)
-                dst.push_back(fe);
-            for (std::uint32_t fe : pending)
-                dst.push_back(fe);
-            for (; idx < local.size(); ++idx)
-                dst.push_back(local[idx]);
-            if (dst.size() > 2048) {
-                std::sort(dst.begin(), dst.end());
-                dst.erase(std::unique(dst.begin(), dst.end()),
-                          dst.end());
+            TRAQ_ASSERT(frontier_[m].size == 0,
+                        "union-find deposit target not empty");
+            const std::size_t start = pool_.size();
+            const std::size_t tail = local.size - idx;
+            // Grow first, then copy: the tail is read from the pool
+            // itself, which insert() may not take as its source, and
+            // once grown the pool does not move.
+            pool_.resize(start + keep_.size() + pending_.size() + tail);
+            auto out = std::copy(keep_.begin(), keep_.end(),
+                                 pool_.begin() + start);
+            out = std::copy(pending_.begin(), pending_.end(), out);
+            std::copy(pool_.begin() + local.start + idx,
+                      pool_.begin() + local.start + local.size, out);
+            if (pool_.size() - start > 2048) {
+                const auto first = pool_.begin() + start;
+                std::sort(first, pool_.end());
+                pool_.erase(std::unique(first, pool_.end()),
+                            pool_.end());
             }
+            frontier_[m] = {static_cast<std::uint32_t>(start),
+                            static_cast<std::uint32_t>(pool_.size() -
+                                                       start)};
             // An odd cluster with an empty frontier can never grow
             // again (every incident edge is beyond the context's
             // round horizon); drop it rather than spin — the
             // defect stays unmatched.  (MWPM instead throws a
             // FatalError naming such a defect.)
-            if (parity_[m] && !touchesBoundary_[m] && !dst.empty())
-                nextActive.push_back(m);
+            if (parity_[m] && !touchesBoundary_[m] &&
+                frontier_[m].size != 0)
+                nextActive_.push_back(m);
         }
         // Deduplicate the active list by current root.
-        for (auto &r : nextActive)
+        for (auto &r : nextActive_)
             r = find(r);
-        std::sort(nextActive.begin(), nextActive.end());
-        nextActive.erase(
-            std::unique(nextActive.begin(), nextActive.end()),
-            nextActive.end());
-        active = std::move(nextActive);
+        std::sort(nextActive_.begin(), nextActive_.end());
+        nextActive_.erase(
+            std::unique(nextActive_.begin(), nextActive_.end()),
+            nextActive_.end());
+        active_.swap(nextActive_);
     }
 
-    return preCorrection ^ peel(solid, usedEdges);
+    return preCorrection ^ peel(usedEdges);
 }
 
 std::uint32_t
-UnionFindDecoder::peel(const std::vector<std::uint32_t> &solidEdges,
-                       std::vector<std::uint32_t> *usedEdges)
+UnionFindDecoder::peel(std::vector<std::uint32_t> *usedEdges)
 {
     // Build adjacency over solid edges; the boundary is a super-node
     // with id n so excess defects can drain into it.  Adjacency and
@@ -259,7 +281,7 @@ UnionFindDecoder::peel(const std::vector<std::uint32_t> &solidEdges,
             peelAdj_[node].clear();
         }
     };
-    for (std::uint32_t ei : solidEdges) {
+    for (std::uint32_t ei : solid_) {
         const GraphEdge &e = graph_.edges()[ei];
         std::int32_t u = (e.u == kBoundary) ? n : e.u;
         touchPeel(u);
@@ -274,20 +296,21 @@ UnionFindDecoder::peel(const std::vector<std::uint32_t> &solidEdges,
     };
 
     // Root trees at the boundary first.
-    std::vector<std::int32_t> roots;
-    roots.push_back(n);
-    for (std::uint32_t ei : solidEdges) {
+    peelRoots_.clear();
+    peelRoots_.push_back(n);
+    for (std::uint32_t ei : solid_) {
         const GraphEdge &e = graph_.edges()[ei];
         if (e.u != kBoundary)
-            roots.push_back(e.u);
-        roots.push_back(e.v);
+            peelRoots_.push_back(e.u);
+        peelRoots_.push_back(e.v);
     }
 
-    for (std::int32_t rootNode : roots) {
+    for (std::int32_t rootNode : peelRoots_) {
         if (visited(rootNode) || adjStamp_[rootNode] != epoch_)
             continue;
         visitedStamp_[rootNode] = epoch_;
-        std::vector<std::int32_t> order{rootNode};
+        auto &order = peelOrder_;
+        order.assign(1, rootNode);
         std::size_t head = 0;
         while (head < order.size()) {
             std::int32_t u = order[head++];

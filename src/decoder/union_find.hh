@@ -15,12 +15,20 @@
  * MWPM cap) and/or a round horizon (windowed streaming decode), and
  * can report the correction's edges.
  *
- * All per-decode state is an epoch-stamped arena: a mark is valid
- * only if its stamp matches the current decode's epoch, so a decode
- * touches O(syndrome neighborhood) memory instead of re-clearing
- * O(nodes + edges) arrays — the property that makes batch decoding
- * (decodeBatchSorted over a whole sampler block) scale with defect count,
- * not graph size.
+ * Per-node and per-edge state is an epoch-stamped arena: a mark is
+ * valid only if its stamp matches the current decode's epoch, so a
+ * decode touches O(syndrome neighborhood) memory instead of
+ * re-clearing O(nodes + edges) arrays — the property that makes batch
+ * decoding (decodeBatchSorted over a whole sampler block) scale with
+ * defect count, not graph size.
+ *
+ * The lists are reused members.  A cluster's frontier (the edges it
+ * may still grow) is a {start, size} slice of one pool that is
+ * cleared, capacity kept, at the start of each decode: a cluster
+ * visit reads its frontier from the pool and writes the new one as a
+ * fresh slice at the pool's end.  The work lists of the growth rounds
+ * and of the peel are members too, so a warm decode allocates
+ * nothing.
  */
 
 #ifndef TRAQ_DECODER_UNION_FIND_HH
@@ -35,7 +43,11 @@
 
 namespace traq::decoder {
 
-/** Union-find decoder over the shared decode graph. */
+/**
+ * Union-find decoder over the shared decode graph.  Decodes reuse the
+ * instance's buffers (see the file comment): once they have grown to
+ * the largest decode seen, a decode makes no heap allocation.
+ */
 class UnionFindDecoder final : public Decoder
 {
   public:
@@ -80,14 +92,25 @@ class UnionFindDecoder final : public Decoder
     std::vector<std::uint8_t> parity_;     //!< defect parity per root
     std::vector<std::uint8_t> touchesBoundary_;
     std::vector<std::uint8_t> defect_;
-    std::vector<std::vector<std::uint32_t>> frontier_;
+    /** A root's frontier: entries [start, start + size) of pool_. */
+    struct Slice
+    {
+        std::uint32_t start = 0;
+        std::uint32_t size = 0;
+    };
+    std::vector<Slice> frontier_;
+    std::vector<std::uint32_t> pool_;  //!< this decode's frontiers
     std::vector<std::uint32_t> growthStamp_;
     std::vector<std::uint32_t> growth_;    //!< per-edge grown amount
+    // Growth-stage work lists, cleared where they are used.
+    std::vector<std::int32_t> active_, nextActive_;
+    std::vector<std::uint32_t> solid_, keep_, pending_;
     // Peel-stage arena (boundary super-node is index numNodes).
     std::vector<std::uint32_t> adjStamp_;
     std::vector<std::vector<std::uint32_t>> peelAdj_;
     std::vector<std::uint32_t> visitedStamp_;
     std::vector<std::int32_t> parentEdge_;
+    std::vector<std::int32_t> peelRoots_, peelOrder_;
 
     void bumpEpoch();
     /** Initialize node i's arena slots once per epoch. */
@@ -110,8 +133,8 @@ class UnionFindDecoder final : public Decoder
 
     static std::uint32_t quantize(double w);
 
-    std::uint32_t peel(const std::vector<std::uint32_t> &solidEdges,
-                       std::vector<std::uint32_t> *usedEdges);
+    /** Peel the grown region (solid_) into a correction. */
+    std::uint32_t peel(std::vector<std::uint32_t> *usedEdges);
 };
 
 } // namespace traq::decoder

@@ -4,8 +4,9 @@
  * the exact MWPM decoder on hand-built graphs and small experiments:
  * optimality against a brute-force oracle on real d=3 graphs and the
  * d=5 lossy CNOT graph (where the matcher cuts most far-apart pairs),
- * and a digest that pins the corrections of the lossy
- * transversal-CNOT workload bit for bit.
+ * a digest that pins the corrections of the lossy transversal-CNOT
+ * workload bit for bit, and one that pins union-find on clusters
+ * large enough to deduplicate their frontiers.
  */
 
 #include <gtest/gtest.h>
@@ -575,7 +576,7 @@ TEST(Mwpm, CnotLossCorrectionDigestPinned)
     {
         int d;
         std::size_t shots;
-        std::uint64_t fallback, correlated, windowed;
+        std::uint64_t fallback, correlated, windowed, unionFind;
     };
     // The fallback and windowed columns were computed with the
     // subset-sweep matcher, before the rewrite.  The correlated
@@ -584,14 +585,16 @@ TEST(Mwpm, CnotLossCorrectionDigestPinned)
     // not change; only the folded edge lists did).  The d=7 row was
     // computed with the bounded search that ran until every later
     // defect was settled, before pairs past the boundary bound were
-    // cut.
+    // cut.  The unionFind column decodes every shot, below the cap
+    // too, with union-find alone; it was computed with one frontier
+    // vector per node, before the frontiers moved into one pool.
     constexpr Pin kPins[] = {
         {3, 2048, 0xb708c85aa81650e5ULL, 0xdb55acdc160bda5dULL,
-         0x2307dfc87f4de1b5ULL},
+         0x2307dfc87f4de1b5ULL, 0x35513f554875ce82ULL},
         {5, 2048, 0xf8a9c8467050691aULL, 0xc47367760fca4652ULL,
-         0x95baf7efcc8ca887ULL},
+         0x95baf7efcc8ca887ULL, 0xe83c2412cd3375b7ULL},
         {7, 512, 0xb7dcb93cba3090ecULL, 0xaafd4ee3da1945f9ULL,
-         0x1403c83051eaa2c3ULL},
+         0x1403c83051eaa2c3ULL, 0xeccd9120936bbb88ULL},
     };
     for (const Pin &pin : kPins) {
         const auto setup = cnotLossSetup(pin.d);
@@ -630,7 +633,8 @@ TEST(Mwpm, CnotLossCorrectionDigestPinned)
             cfg.windowRounds = 3;
             cfg.commitRounds = 1;
             WindowedDecoder windowed(g, cfg);
-            Fnv1a hf, hc, hw;
+            UnionFindDecoder unionFind(g);
+            Fnv1a hf, hc, hw, hu;
             std::vector<double> weights;
             for (const GraphEdge &e : g.edges())
                 weights.push_back(e.weight);
@@ -666,6 +670,10 @@ TEST(Mwpm, CnotLossCorrectionDigestPinned)
                 fold(hw, windowed, [&] {
                     return windowed.decodeWithContext(syns[s], ctx);
                 });
+                fold(hu, unionFind, [&] {
+                    return unionFind.decodeWithContext(syns[s], ctx,
+                                                       &used);
+                });
 
                 for (std::uint32_t c : heralds[s])
                     for (std::uint32_t ei : g.channelEdges(c))
@@ -677,8 +685,48 @@ TEST(Mwpm, CnotLossCorrectionDigestPinned)
                 << "correlated d=" << pin.d << " cache " << cache;
             EXPECT_EQ(hw.h, pin.windowed)
                 << "windowed d=" << pin.d << " cache " << cache;
+            EXPECT_EQ(hu.h, pin.unionFind)
+                << "union-find d=" << pin.d << " cache " << cache;
         }
     }
+}
+
+TEST(UnionFind, LargeClusterDigestPinned)
+{
+    // d=11 Z-memory at p = 0.03 grows clusters whose frontier passes
+    // 2,048 entries, so decodeWithContext takes its sort + unique
+    // branch: a temporary counter saw it run 29 times over these 128
+    // shots (on frontiers of up to 2,780 entries), and nowhere else
+    // in the suite.  Masks and used-edge lists are folded.  The
+    // constant was computed with one frontier vector per node,
+    // before the frontiers moved into one pool.
+    codes::SurfaceCode sc(11);
+    const auto e = codes::buildMemory(sc, 'Z', 11,
+                                      codes::NoiseParams::uniform(0.03));
+    const DecodeGraph g = DecodeGraph::build(e);
+    UnionFindDecoder uf(g);
+
+    // One-lane (scalar64) sampler, as in the lossy-CNOT digest.
+    sim::FrameSimulator fs(0x5eed0b11u, 1);
+    sim::FrameBatch batch;
+    sim::SyndromeBlock block;
+    const std::uint64_t live = ~0ULL;
+    Fnv1a h;
+    std::vector<std::uint32_t> used;
+    std::size_t shots = 0;
+    while (shots < 128) {
+        fs.sampleInto(e.circuit, batch);
+        sim::extractSyndromeBlock(batch, {&live, 1}, block);
+        for (std::uint64_t s = 0; s < block.shots(); ++s, ++shots) {
+            used.clear();
+            h.add(uf.decodeWithContext(block.syndrome(s), DecodeContext{},
+                                       &used));
+            h.add(static_cast<std::uint32_t>(used.size()));
+            for (std::uint32_t ei : used)
+                h.add(ei);
+        }
+    }
+    EXPECT_EQ(h.h, 0x6dd4d36fc96e894cULL);
 }
 
 TEST(Mwpm, CapEnforced)
