@@ -35,7 +35,9 @@
 #include <cstdlib>
 #include <iostream>
 #include <limits.h>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -79,15 +81,23 @@ parseUnsigned(const std::string &value, unsigned long &out)
            ptr == value.data() + value.size();
 }
 
-/** Env-var unsigned knob: unset -> fallback; malformed -> fatal. */
+/** Largest --workers / TRAQ_DISPATCH_WORKERS value:
+ *  DispatcherOptions::workers is an unsigned, and a larger count
+ *  must not wrap into it. */
+constexpr unsigned long kMaxWorkers =
+    std::numeric_limits<unsigned>::max();
+
+/** Env-var count knob: unset -> fallback; malformed, zero or above
+ *  max -> fatal. */
 unsigned long
-envUnsigned(const char *name, unsigned long fallback)
+envUnsigned(const char *name, unsigned long fallback,
+            unsigned long max = std::numeric_limits<unsigned long>::max())
 {
     const char *raw = std::getenv(name);
     if (raw == nullptr || *raw == '\0')
         return fallback;
     unsigned long v = 0;
-    if (!parseUnsigned(raw, v) || v == 0)
+    if (!parseUnsigned(raw, v) || v == 0 || v > max)
         TRAQ_FATAL(std::string(name) + " must be a positive "
                    "integer, got '" + raw + "'");
     return v;
@@ -120,7 +130,8 @@ main(int argc, char **argv)
     std::string servePath;
     std::vector<std::string> forwarded;
     try {
-        workerCount = envUnsigned("TRAQ_DISPATCH_WORKERS", 2);
+        workerCount =
+            envUnsigned("TRAQ_DISPATCH_WORKERS", 2, kMaxWorkers);
         inflight = envUnsigned("TRAQ_DISPATCH_INFLIGHT", 32);
     } catch (const traq::FatalError &e) {
         std::fprintf(stderr, "traq_dispatch: %s\n", e.what());
@@ -142,7 +153,8 @@ main(int argc, char **argv)
         }
         if (arg == "--workers" || arg == "--inflight") {
             unsigned long n = 0;
-            if (!parseUnsigned(value, n) || n == 0)
+            if (!parseUnsigned(value, n) || n == 0 ||
+                (arg == "--workers" && n > kMaxWorkers))
                 return usage(argv[0], 2);
             (arg == "--workers" ? workerCount : inflight) = n;
         } else if (arg == "--threads") {
@@ -203,7 +215,15 @@ main(int argc, char **argv)
     std::size_t submitted = 0;
     int exitCode = 0;
     {
-        traq::service::Dispatcher dispatcher(opts);
+        // Built inside the handler, so a worker that cannot be
+        // spawned (pipe, fork, fdopen) fails loudly, not by abort.
+        std::optional<traq::service::Dispatcher> dispatcher;
+        try {
+            dispatcher.emplace(opts);
+        } catch (const traq::FatalError &e) {
+            std::fprintf(stderr, "traq_dispatch: %s\n", e.what());
+            return 1;
+        }
 
         // Emitter: drain merged results concurrently with reading
         // stdin, so worker backpressure never deadlocks against an
@@ -213,7 +233,7 @@ main(int argc, char **argv)
             try {
                 std::size_t next = 0;
                 std::map<std::size_t, std::string> hold;
-                while (auto r = dispatcher.waitResult()) {
+                while (auto r = dispatcher->waitResult()) {
                     if (!ordered) {
                         std::string out =
                             traq::service::wire::tagLine(
@@ -251,10 +271,10 @@ main(int argc, char **argv)
                 const std::string_view text = traq::trim(raw);
                 if (text.empty() || text[0] == '#')
                     continue;
-                dispatcher.submit(submitted++,
-                                  std::string(text));
+                dispatcher->submit(submitted++,
+                                   std::string(text));
             }
-            dispatcher.closeSubmissions();
+            dispatcher->closeSubmissions();
         } catch (const traq::FatalError &e) {
             std::fprintf(stderr, "traq_dispatch: %s\n", e.what());
             exitCode = 1;

@@ -20,7 +20,13 @@
 #      decoder and word backend), and
 #   9. workers that break the line protocol failing traq_dispatch
 #      loudly (exit 1, the violation on stderr, nothing on stdout)
-#      instead of aborting it.
+#      instead of aborting it,
+#  10. worker counts that do not fit in an unsigned (--workers or
+#      TRAQ_DISPATCH_WORKERS) rejected as usage errors (exit 2,
+#      nothing on stdout) instead of wrapping to 0 or 1 workers, and
+#  11. a worker that cannot be spawned (an fd limit makes pipe()
+#      fail) failing traq_dispatch loudly (exit 1) after it stops
+#      the workers it already started, instead of aborting it.
 #
 # Byte-identity legs use --ordered (traq_serve's default output is a
 # completion-order stream of {"index":N,...} tagged lines).
@@ -293,3 +299,42 @@ if [[ "$status" -ne 1 ]] || [[ -s "$outn" ]] \
     exit 1
 fi
 echo "service-smoke: OK   protocol-breaking workers fail loudly (exit 1)"
+
+# Worker-count leg: 2^32 wrapped to 0 workers (an abort) and 2^32 + 1
+# to one worker; both must be rejected before any worker spawns.
+for bad in "--workers 4294967296" "--workers 4294967297" \
+           "TRAQ_DISPATCH_WORKERS=4294967296"; do
+    status=0
+    if [[ "$bad" == --* ]]; then
+        # shellcheck disable=SC2086  # split "--workers N"
+        printf '{"kind":"gidney-ekera"}\n' \
+            | "$DISPATCH" $bad > "$outn" 2> "$stats" || status=$?
+    else
+        printf '{"kind":"gidney-ekera"}\n' \
+            | env "$bad" "$DISPATCH" > "$outn" 2> "$stats" \
+            || status=$?
+    fi
+    if [[ "$status" -ne 2 ]] || [[ -s "$outn" ]]; then
+        echo "service-smoke: FAIL '$bad' gave exit $status" \
+             "(want 2 with empty stdout), stderr was:" >&2
+        cat "$stats" >&2
+        exit 1
+    fi
+done
+echo "service-smoke: OK   oversized worker counts rejected (exit 2)"
+
+# Spawn-failure leg: with 16 descriptors, pipe() fails after a few
+# of the 8 workers have started.  The dispatcher must stop those and
+# exit 1 naming the failure — never abort (exit 134).
+status=0
+printf '{"kind":"gidney-ekera"}\n' \
+    | (ulimit -n 16; exec "$DISPATCH" --workers 8) > "$outn" \
+        2> "$stats" || status=$?
+if [[ "$status" -ne 1 ]] || [[ -s "$outn" ]] \
+        || ! grep -q "traq_dispatch: .*pipe() failed" "$stats"; then
+    echo "service-smoke: FAIL worker spawn failure gave exit" \
+         "$status (want 1), stderr was:" >&2
+    cat "$stats" >&2
+    exit 1
+fi
+echo "service-smoke: OK   worker spawn failure fails loudly (exit 1)"

@@ -25,10 +25,4 @@ qecCycle(int d, const platform::AtomArrayParams &p, double moveSites)
     return t;
 }
 
-double
-reactionStep(const platform::AtomArrayParams &p)
-{
-    return p.reactionTime();
-}
-
 } // namespace traq::arch

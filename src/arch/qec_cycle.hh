@@ -40,13 +40,6 @@ QecCycleTiming
 qecCycle(int d, const platform::AtomArrayParams &p,
          double moveSites = -1.0);
 
-/**
- * Reaction-limited step time: the latency from a logical measurement
- * to the dependent conditional operation (Sec. III.5); the clock of
- * Toffoli-chain execution in the adder and lookup gadgets.
- */
-double reactionStep(const platform::AtomArrayParams &p);
-
 } // namespace traq::arch
 
 #endif // TRAQ_ARCH_QEC_CYCLE_HH

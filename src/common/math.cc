@@ -20,12 +20,6 @@ pOr(double a, double b)
 }
 
 double
-pClamp(double p)
-{
-    return std::clamp(p, 0.0, 1.0);
-}
-
-double
 pAtLeastOnceOf(double p, double n)
 {
     if (p <= 0.0 || n <= 0.0)

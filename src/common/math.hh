@@ -25,9 +25,6 @@ double pXor(double a, double b);
 /** Probability that at least one of two independent events occurs. */
 double pOr(double a, double b);
 
-/** Union bound / additive combination, clamped to [0, 1]. */
-double pClamp(double p);
-
 /** 1 - (1-p)^n, computed stably for tiny p via expm1/log1p. */
 double pAtLeastOnceOf(double p, double n);
 

@@ -13,11 +13,8 @@ CorrelatedDecoder::CorrelatedDecoder(const DecodeGraph &graph,
     // but does get the reach cache: the first matching pass runs
     // under the default context, where cached searches apply; the
     // reweighted second pass bypasses the cache automatically.
-    : Decoder(graph, resolvePredecode(config.predecode),
-              config.predecodeRadius),
-      graph_(graph),
-      inner_(graph, config.mwpmMaxDefects, /*predecode=*/false,
-             /*predecodeRadius=*/2, resolveReachCache(config.reachCache))
+    : Decoder(graph, config), graph_(graph),
+      inner_(graph, innerStageConfig(config))
 {
     TRAQ_REQUIRE(config.correlationBoost > 0.0 &&
                      config.correlationBoost <= 0.5,

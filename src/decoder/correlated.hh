@@ -44,8 +44,8 @@ namespace traq::decoder {
 class CorrelatedDecoder final : public Decoder
 {
   public:
-    CorrelatedDecoder(const DecodeGraph &graph,
-                      const DecoderConfig &config);
+    explicit CorrelatedDecoder(const DecodeGraph &graph,
+                               const DecoderConfig &config = {});
 
     /**
      * Context-aware decode: the round horizon (if any) applies to

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
-#include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
 
@@ -19,7 +17,8 @@
 namespace traq::decoder {
 namespace {
 
-/** Kind/name table: the single source for the round-trip helpers. */
+/** Kind/name table in enum order: the single source for the name
+ *  helpers and registeredDecoderKinds(). */
 constexpr struct
 {
     DecoderKind kind;
@@ -31,54 +30,6 @@ constexpr struct
     {DecoderKind::Correlated, "correlated"},
     {DecoderKind::Windowed, "windowed"},
 };
-
-std::mutex &
-registryMutex()
-{
-    static std::mutex m;
-    return m;
-}
-
-std::map<DecoderKind, DecoderFactory> &
-registry()
-{
-    // Built-ins are seeded on first access so makeDecoder works
-    // without any static-initialization-order coupling.
-    // Each factory resolves the predecode tri-state and hands it to
-    // the *outermost* decoder only; composites construct their inner
-    // stages without it, so a syndrome is peeled at most once.
-    static std::map<DecoderKind, DecoderFactory> r = {
-        {DecoderKind::UnionFind,
-         [](const DecodeGraph &g, const DecoderConfig &c) {
-             return std::make_unique<UnionFindDecoder>(
-                 g, resolvePredecode(c.predecode),
-                 c.predecodeRadius);
-         }},
-        {DecoderKind::Mwpm,
-         [](const DecodeGraph &g, const DecoderConfig &c) {
-             return std::make_unique<MwpmDecoder>(
-                 g, c.mwpmMaxDefects,
-                 resolvePredecode(c.predecode), c.predecodeRadius,
-                 resolveReachCache(c.reachCache));
-         }},
-        {DecoderKind::Fallback,
-         [](const DecodeGraph &g, const DecoderConfig &c) {
-             return std::make_unique<FallbackDecoder>(
-                 g, c.mwpmMaxDefects,
-                 resolvePredecode(c.predecode), c.predecodeRadius,
-                 resolveReachCache(c.reachCache));
-         }},
-        {DecoderKind::Correlated,
-         [](const DecodeGraph &g, const DecoderConfig &c) {
-             return std::make_unique<CorrelatedDecoder>(g, c);
-         }},
-        {DecoderKind::Windowed,
-         [](const DecodeGraph &g, const DecoderConfig &c) {
-             return std::make_unique<WindowedDecoder>(g, c);
-         }},
-    };
-    return r;
-}
 
 } // namespace
 
@@ -109,11 +60,9 @@ decoderKindFromName(std::string_view name)
 std::vector<DecoderKind>
 registeredDecoderKinds()
 {
-    std::lock_guard<std::mutex> lock(registryMutex());
     std::vector<DecoderKind> kinds;
-    kinds.reserve(registry().size());
-    for (const auto &[kind, factory] : registry())
-        kinds.push_back(kind);
+    for (const auto &entry : kKindNames)
+        kinds.push_back(entry.kind);
     return kinds;
 }
 
@@ -186,29 +135,24 @@ resolveDecoderKind(DecoderKind requested)
     return requested;
 }
 
-void
-registerDecoder(DecoderKind kind, DecoderFactory factory)
-{
-    TRAQ_REQUIRE(factory != nullptr, "null decoder factory");
-    std::lock_guard<std::mutex> lock(registryMutex());
-    registry()[kind] = std::move(factory);
-}
-
 std::unique_ptr<Decoder>
 makeDecoder(DecoderKind kind, const DecodeGraph &graph,
             const DecoderConfig &config)
 {
-    DecoderFactory factory;
-    {
-        std::lock_guard<std::mutex> lock(registryMutex());
-        auto it = registry().find(kind);
-        if (it == registry().end())
-            TRAQ_FATAL(
-                "no decoder factory registered for kind " +
-                std::to_string(static_cast<int>(kind)));
-        factory = it->second;
+    switch (kind) {
+    case DecoderKind::UnionFind:
+        return std::make_unique<UnionFindDecoder>(graph, config);
+    case DecoderKind::Mwpm:
+        return std::make_unique<MwpmDecoder>(graph, config);
+    case DecoderKind::Fallback:
+        return std::make_unique<FallbackDecoder>(graph, config);
+    case DecoderKind::Correlated:
+        return std::make_unique<CorrelatedDecoder>(graph, config);
+    case DecoderKind::Windowed:
+        return std::make_unique<WindowedDecoder>(graph, config);
     }
-    return factory(graph, config);
+    TRAQ_FATAL("makeDecoder: unknown DecoderKind value " +
+               std::to_string(static_cast<int>(kind)));
 }
 
 namespace {

@@ -8,9 +8,10 @@
  * the two-pass correlated matcher, the sliding-window streaming
  * decoder) implement this interface as clients of one shared
  * DecodeGraph; the Monte-Carlo engine and benches are written
- * against the interface only, so a new decoder plugs in by
- * registering a factory under a DecoderKind without touching the
- * harness.
+ * against the interface only.  Every kind has one constructor,
+ * (graph, DecoderConfig), and makeDecoder() switches over the closed
+ * DecoderKind enum, so a decoder built directly and one built by the
+ * factory from the same config are the same decoder.
  *
  * Decoder instances own their scratch buffers and are NOT thread
  * safe; parallel callers (MonteCarloEngine workers) each create
@@ -21,7 +22,6 @@
 #define TRAQ_DECODER_DECODER_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string_view>
@@ -71,11 +71,11 @@ const char *decoderKindName(DecoderKind kind);
 /**
  * Parse a decoder kind from its decoderKindName() string (e.g. from
  * the TRAQ_DECODER environment variable).  Throws FatalError on an
- * unknown name, listing the registered ones.
+ * unknown name, listing the known ones.
  */
 DecoderKind decoderKindFromName(std::string_view name);
 
-/** All kinds with a registered factory, in enum order. */
+/** Every decoder kind, in enum order. */
 std::vector<DecoderKind> registeredDecoderKinds();
 
 /**
@@ -132,12 +132,16 @@ bool resolveCompileCache(int requested);
 
 /**
  * Default largest syndrome the exact MWPM stage decodes: the default
- * of DecoderConfig, McOptions, FallbackDecoder and MwpmDecoder alike,
- * so a matcher built directly routes like a factory-built one.
+ * of DecoderConfig and McOptions alike.
  */
 inline constexpr std::size_t kDefaultMwpmMaxDefects = 16;
 
-/** Construction-time options shared by all decoder kinds. */
+/**
+ * Construction-time options shared by all decoder kinds.  Each
+ * tri-state is resolved once, by the class that owns the feature
+ * (Decoder: predecode; MwpmDecoder: reachCache), so a decoder built
+ * directly follows the environment like one from makeDecoder().
+ */
 struct DecoderConfig
 {
     /** Largest syndrome the exact MWPM stage decodes. */
@@ -167,7 +171,8 @@ struct DecoderConfig
      * negative defers to the TRAQ_PREDECODE environment variable
      * (see resolvePredecode; default off), 0 forces off, positive
      * forces on.  Only the outermost decoder of a composite peels —
-     * inner stages always see the already-peeled residue.
+     * inner stages are built with it off (Decoder::innerStageConfig)
+     * and see the already-peeled residue.
      */
     int predecode = -1;
     /** Isolation radius (graph hops) for the predecode peeler. */
@@ -235,11 +240,11 @@ struct SyndromeBatch
  * implements decodeWithContext() and name(); decodeSpan() and the
  * batch path both route through decodeWithContext().
  *
- * The predecode peeler lives here, once for every kind: a kind that
- * supports it passes the switch to the protected constructor and
- * calls peelPairs() at the point of its decode where the residue
- * takes over.  Composites construct their inner stages without it,
- * so a syndrome is peeled at most once.
+ * The predecode peeler lives here, once for every kind: the
+ * protected constructor resolves DecoderConfig::predecode, and each
+ * kind calls peelPairs() at the point of its decode where the
+ * residue takes over.  Composites build their inner stages from
+ * innerStageConfig(), so a syndrome is peeled at most once.
  */
 class Decoder
 {
@@ -291,14 +296,25 @@ class Decoder
     }
 
   protected:
+    /** A decoder without the peeler (test fakes). */
     Decoder() = default;
 
-    /** Build the predecode peeler (see Predecoder) when predecode
-     *  is on. */
-    Decoder(const DecodeGraph &graph, bool predecode, int radius)
+    /** Resolve config.predecode (see resolvePredecode) and, when it
+     *  is on, build the peeler (see Predecoder) with
+     *  config.predecodeRadius. */
+    Decoder(const DecodeGraph &graph, const DecoderConfig &config)
     {
-        if (predecode)
-            pre_ = std::make_unique<Predecoder>(graph, radius);
+        if (resolvePredecode(config.predecode))
+            pre_ = std::make_unique<Predecoder>(graph,
+                                                config.predecodeRadius);
+    }
+
+    /** The config a composite builds its inner stages from: its own,
+     *  with predecode off, since the composite peels itself. */
+    static DecoderConfig innerStageConfig(DecoderConfig config)
+    {
+        config.predecode = 0;
+        return config;
     }
 
     /**
@@ -451,21 +467,11 @@ BatchDecodeStats decodeBatchSorted(Decoder &dec,
                                    GlobalDecodeMemo *global = nullptr,
                                    DecodeSetupKey setup = {});
 
-/** Factory signature used by the decoder registry. */
-using DecoderFactory = std::function<std::unique_ptr<Decoder>(
-    const DecodeGraph &, const DecoderConfig &)>;
-
 /**
- * Register (or replace) the factory for a decoder kind.  Built-in
- * kinds are pre-registered; external code may override them or
- * claim a new enum value without touching the harness.
- */
-void registerDecoder(DecoderKind kind, DecoderFactory factory);
-
-/**
- * Instantiate a decoder.  Each call returns a fresh instance with
- * its own scratch state, suitable for per-thread use.  Throws
- * FatalError when no factory is registered for the kind.
+ * Instantiate a decoder: the kind's class built from (graph,
+ * config).  Each call returns a fresh instance with its own scratch
+ * state, suitable for per-thread use.  Throws FatalError for a value
+ * outside the enum.
  */
 std::unique_ptr<Decoder> makeDecoder(DecoderKind kind,
                                      const DecodeGraph &graph,

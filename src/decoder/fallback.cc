@@ -3,13 +3,9 @@
 namespace traq::decoder {
 
 FallbackDecoder::FallbackDecoder(const DecodeGraph &graph,
-                                 std::size_t mwpmMaxDefects,
-                                 bool predecode, int predecodeRadius,
-                                 bool reachCache)
-    : Decoder(graph, predecode, predecodeRadius),
-      mwpm_(graph, mwpmMaxDefects, /*predecode=*/false,
-            /*predecodeRadius=*/2, reachCache),
-      uf_(graph)
+                                 const DecoderConfig &config)
+    : Decoder(graph, config), mwpm_(graph, innerStageConfig(config)),
+      uf_(graph, innerStageConfig(config))
 {}
 
 std::uint32_t

@@ -38,11 +38,8 @@ namespace traq::decoder {
 class FallbackDecoder final : public Decoder
 {
   public:
-    FallbackDecoder(const DecodeGraph &graph,
-                    std::size_t mwpmMaxDefects =
-                        kDefaultMwpmMaxDefects,
-                    bool predecode = false, int predecodeRadius = 2,
-                    bool reachCache = false);
+    explicit FallbackDecoder(const DecodeGraph &graph,
+                             const DecoderConfig &config = {});
 
     std::uint32_t
     decodeWithContext(std::span<const std::uint32_t> syndrome,

@@ -53,10 +53,10 @@ pairBound(double x)
 } // namespace
 
 MwpmDecoder::MwpmDecoder(const DecodeGraph &graph,
-                         std::size_t maxDefects, bool predecode,
-                         int predecodeRadius, bool reachCache)
-    : Decoder(graph, predecode, predecodeRadius), graph_(graph),
-      maxDefects_(maxDefects), reachCache_(reachCache)
+                         const DecoderConfig &config)
+    : Decoder(graph, config), graph_(graph),
+      maxDefects_(config.mwpmMaxDefects),
+      reachCache_(resolveReachCache(config.reachCache))
 {
     TRAQ_REQUIRE(maxDefects_ <= 22,
                  "bitmask matching is limited to 22 defects");

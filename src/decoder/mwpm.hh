@@ -58,25 +58,15 @@ class MwpmDecoder final : public Decoder
   public:
     /**
      * @param graph decode graph.
-     * @param maxDefects largest syndrome size decoded exactly (at
-     *        most 22).  The cap applies to the syndrome as handed
-     *        in — predecode peeling never widens what this decoder
-     *        accepts, so predecode on/off route identically.
-     * @param predecode peel isolated adjacent pairs first (see
-     *        Predecoder); off by default.
-     * @param predecodeRadius isolation radius for the peeler.
-     * @param reachCache share Dijkstra searches across decodes whose
-     *        source defect recurs (see the SsspSlot cache below);
-     *        bit-identical on/off.  Off by default at the class
-     *        level; the factory resolves DecoderConfig::reachCache /
-     *        TRAQ_REACH_CACHE (default on).
+     * @param config reads mwpmMaxDefects (at most 22; the cap
+     *        applies to the syndrome as handed in, so predecode
+     *        on/off route identically), predecode / predecodeRadius
+     *        (see Decoder) and reachCache, resolved here: share
+     *        Dijkstra searches across decodes whose source defect
+     *        recurs (the SsspSlot cache below), bit-identical on/off.
      */
     explicit MwpmDecoder(const DecodeGraph &graph,
-                         std::size_t maxDefects =
-                             kDefaultMwpmMaxDefects,
-                         bool predecode = false,
-                         int predecodeRadius = 2,
-                         bool reachCache = false);
+                         const DecoderConfig &config = {});
 
     /** True if this syndrome is within the exact-decoding cap. */
     bool canDecode(std::span<const std::uint32_t> syndrome) const

@@ -19,9 +19,8 @@ UnionFindDecoder::quantize(double w)
 }
 
 UnionFindDecoder::UnionFindDecoder(const DecodeGraph &graph,
-                                   bool predecode,
-                                   int predecodeRadius)
-    : Decoder(graph, predecode, predecodeRadius), graph_(graph)
+                                   const DecoderConfig &config)
+    : Decoder(graph, config), graph_(graph)
 {
     edgeWeightQ_.reserve(graph_.edges().size());
     for (const auto &e : graph_.edges())

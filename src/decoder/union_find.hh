@@ -53,15 +53,11 @@ class UnionFindDecoder final : public Decoder
   public:
     /**
      * @param graph decode graph.
-     * @param predecode peel isolated adjacent defect pairs before
-     *        growing clusters (see Predecoder).  Off by default;
-     *        composites construct their inner stages without it so
-     *        only the outermost decoder peels.
-     * @param predecodeRadius isolation radius for the peeler.
+     * @param config reads predecode / predecodeRadius only (see
+     *        Decoder).
      */
     explicit UnionFindDecoder(const DecodeGraph &graph,
-                              bool predecode = false,
-                              int predecodeRadius = 2);
+                              const DecoderConfig &config = {});
 
     /**
      * Decode under a context.  Non-default weights are quantized

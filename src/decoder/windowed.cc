@@ -11,12 +11,8 @@ WindowedDecoder::WindowedDecoder(const DecodeGraph &graph,
     // Windowed passes decode under a round horizon, which bypasses
     // the reach cache; only the short-circuit full-history decode
     // (syndromes confined to the first window) benefits from it.
-    : Decoder(graph, resolvePredecode(config.predecode),
-              config.predecodeRadius),
-      graph_(graph),
-      inner_(graph, config.mwpmMaxDefects, /*predecode=*/false,
-             /*predecodeRadius=*/2,
-             resolveReachCache(config.reachCache)),
+    : Decoder(graph, config), graph_(graph),
+      inner_(graph, innerStageConfig(config)),
       window_(config.windowRounds), commit_(config.commitRounds)
 {
     TRAQ_REQUIRE(window_ >= 1, "windowRounds must be >= 1");

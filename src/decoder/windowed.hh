@@ -49,8 +49,8 @@ namespace traq::decoder {
 class WindowedDecoder final : public Decoder
 {
   public:
-    WindowedDecoder(const DecodeGraph &graph,
-                    const DecoderConfig &config);
+    explicit WindowedDecoder(const DecodeGraph &graph,
+                             const DecoderConfig &config = {});
 
     /**
      * Context-aware decode: per-edge weight overrides (the

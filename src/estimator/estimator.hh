@@ -1,7 +1,6 @@
 /**
  * @file
- * Unified estimator interface and registry (mirrors the Decoder
- * registry of src/decoder).
+ * Unified estimator interface and registry.
  *
  * Every resource estimate in the repo — factoring on the transversal
  * architecture, chemistry, the Gidney–Ekerå lattice-surgery baseline,
@@ -177,7 +176,10 @@ using EstimatorFactory =
  * Built-ins ("factoring", "chemistry", "gidney-ekera",
  * "qldpc-storage", "factory-design", "idle-storage", and the
  * simulation-backed "mc-logical-error" / "mc-alpha" of
- * src/estimator/simulation.hh) are pre-registered.
+ * src/estimator/simulation.hh) are pre-registered.  Unlike decoders
+ * and noise sources, estimator kinds stay open: the service tests
+ * register a blocking estimator to hold JobService workers
+ * (Scheduler.BoundedReadyQueueBlocksSubmitWithoutDeadlock).
  */
 void registerEstimator(const std::string &kind,
                        EstimatorFactory factory);

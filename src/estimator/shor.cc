@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 #include <utility>
 
 #include "src/arch/se_schedule.hh"
@@ -126,26 +127,7 @@ estimateFactoring(const FactoringSpec &spec)
     r.idlePeriodUsed = idlePeriodFor(d);
 
     // --- Gadget designs at the resolved distance ---
-    gadgets::AdderSpec as;
-    as.nBits = spec.nBits;
-    as.rsep = spec.rsep;
-    as.rpad = r.rpad;
-    as.distance = d;
-    as.atom = spec.atom;
-    as.errorModel = spec.errorModel;
-    as.kappaAdd = kKappaAdd;
-    r.adder = gadgets::designAdder(as);
-
-    gadgets::LookupSpec ls;
-    ls.addressBits = m;
-    ls.targetBits = bitsWithRunways;
-    ls.distance = d;
-    ls.ghzSpacing = 2;
-    ls.pipelineCopies = 1;
-    ls.atom = spec.atom;
-    ls.errorModel = spec.errorModel;
-    ls.kappaLookup = kKappaLookup;
-    r.lookup = gadgets::designLookup(ls);
+    std::tie(r.adder, r.lookup) = gadgetReports(d);
 
     r.timePerLookup = r.lookup.timePerLookup;
     r.timePerAddition = r.adder.timePerAddition;

@@ -31,14 +31,6 @@ effectiveThreshold(double x, const ErrorModelParams &p)
     return p.pThres / (1.0 + p.alpha * x);
 }
 
-double
-roundErrorWithExtra(int d, double pExtra, const ErrorModelParams &p)
-{
-    TRAQ_REQUIRE(d >= 3, "distance must be >= 3");
-    double base = (p.pPhys + pExtra) / p.pThres;
-    return p.prefactorC * std::pow(base, (d + 1) / 2.0);
-}
-
 namespace {
 
 /** Smallest odd d >= 3 from the generic exponential-suppression law

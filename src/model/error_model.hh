@@ -56,15 +56,6 @@ double cnotLogicalError(int d, double x, const ErrorModelParams &p);
 double effectiveThreshold(double x, const ErrorModelParams &p);
 
 /**
- * Per-qubit per-SE-round error with an explicit extra physical error
- * contribution pExtra added to the SE budget (used for idle storage,
- * Eq. (3) specialization): C * ((p_SE + pExtra)/p_thres)^((d+1)/2)
- * where p_SE is the baseline physical rate.
- */
-double roundErrorWithExtra(int d, double pExtra,
-                           const ErrorModelParams &p);
-
-/**
  * Smallest odd distance d >= 3 with memoryErrorPerRound <= target.
  * Throws if the system is above threshold.
  */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <sstream>
 
 #include "src/common/assert.hh"
@@ -238,37 +237,28 @@ class BiasedMeasurementSource final : public NoiseSource
     double bias_ = 0.0;
 };
 
-/** The registry; guarded for concurrent registration/lookup. */
-struct Registry
+/** Build source S from its parameters. */
+template <class S>
+std::unique_ptr<NoiseSource>
+make(const std::map<std::string, double> &params)
 {
-    std::mutex mutex;
-    std::map<std::string, NoiseSourceFactory> factories;
-};
-
-Registry &
-registry()
-{
-    static Registry *r = [] {
-        auto *reg = new Registry;
-        reg->factories["atom-loss"] = [](const auto &p) {
-            return std::make_unique<AtomLossSource>(p);
-        };
-        reg->factories["leakage"] = [](const auto &p) {
-            return std::make_unique<LeakageSource>(p);
-        };
-        reg->factories["idle-dephasing"] = [](const auto &p) {
-            return std::make_unique<IdleDephasingSource>(p);
-        };
-        reg->factories["correlated-pauli"] = [](const auto &p) {
-            return std::make_unique<CorrelatedPauliSource>(p);
-        };
-        reg->factories["biased-measurement"] = [](const auto &p) {
-            return std::make_unique<BiasedMeasurementSource>(p);
-        };
-        return reg;
-    }();
-    return *r;
+    return std::make_unique<S>(params);
 }
+
+/** The sources, sorted by name: the one table makeNoiseSource()
+ *  scans and registeredNoiseSources() lists. */
+constexpr struct
+{
+    const char *name;
+    std::unique_ptr<NoiseSource> (*make)(
+        const std::map<std::string, double> &);
+} kSources[] = {
+    {"atom-loss", make<AtomLossSource>},
+    {"biased-measurement", make<BiasedMeasurementSource>},
+    {"correlated-pauli", make<CorrelatedPauliSource>},
+    {"idle-dephasing", make<IdleDephasingSource>},
+    {"leakage", make<LeakageSource>},
+};
 
 } // namespace
 
@@ -326,50 +316,25 @@ NoiseSpec::flat() const
     return out;
 }
 
-void
-registerNoiseSource(const std::string &name,
-                    NoiseSourceFactory factory)
-{
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mutex);
-    r.factories[name] = std::move(factory);
-}
-
 std::unique_ptr<NoiseSource>
 makeNoiseSource(const NoiseSourceSpec &spec)
 {
-    NoiseSourceFactory factory;
-    {
-        Registry &r = registry();
-        std::lock_guard<std::mutex> lock(r.mutex);
-        auto it = r.factories.find(spec.name);
-        if (it == r.factories.end()) {
-            std::ostringstream oss;
-            oss << "unknown noise source '" << spec.name
-                << "' (registered:";
-            for (const auto &[k, f] : r.factories) {
-                (void)f;
-                oss << " " << k;
-            }
-            oss << ")";
-            TRAQ_FATAL(oss.str());
-        }
-        factory = it->second;
+    std::string known;
+    for (const auto &source : kSources) {
+        if (spec.name == source.name)
+            return source.make(spec.params);
+        known += std::string(" ") + source.name;
     }
-    return factory(spec.params);
+    TRAQ_FATAL("unknown noise source '" + spec.name +
+               "' (registered:" + known + ")");
 }
 
 std::vector<std::string>
 registeredNoiseSources()
 {
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mutex);
     std::vector<std::string> names;
-    names.reserve(r.factories.size());
-    for (const auto &[k, f] : r.factories) {
-        (void)f;
-        names.push_back(k);
-    }
+    for (const auto &source : kSources)
+        names.push_back(source.name);
     return names;
 }
 

@@ -8,10 +8,10 @@
  * heralded detection, leakage, dephasing while blocks move, motional
  * correlated errors, biased readout — previously had no home.  This
  * subsystem gives each physical effect its own NoiseSource, selected
- * and parameterized by name through a registry (mirroring the
- * Decoder / Estimator registries), and a NoiseModel that compiles an
- * ordered stack of sources over a clean (or already-noisy) circuit
- * by interleaving extra noise instructions around the existing ones.
+ * and parameterized by name from a fixed table of built-in sources,
+ * and a NoiseModel that compiles an ordered stack of sources over a
+ * clean (or already-noisy) circuit by interleaving extra noise
+ * instructions around the existing ones.
  *
  * Compilation only ever *adds* noise instructions, never reorders or
  * drops anything, so measurement lookbacks, DETECTOR / OBSERVABLE
@@ -36,7 +36,6 @@
 #define TRAQ_NOISE_NOISE_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -48,7 +47,7 @@
 
 namespace traq::noise {
 
-/** One configured noise source: registry name + named parameters. */
+/** One configured noise source: source name + named parameters. */
 struct NoiseSourceSpec
 {
     std::string name;
@@ -105,7 +104,7 @@ class NoiseSource
   public:
     virtual ~NoiseSource() = default;
 
-    /** Registry name, e.g. "atom-loss". */
+    /** Source name, e.g. "atom-loss". */
     virtual const char *name() const = 0;
 
     /** Emit noise preceding `inst` (e.g. pre-measurement flips). */
@@ -127,30 +126,18 @@ class NoiseSource
     }
 };
 
-/** Factory signature used by the noise-source registry. */
-using NoiseSourceFactory =
-    std::function<std::unique_ptr<NoiseSource>(
-        const std::map<std::string, double> &)>;
-
 /**
- * Register (or replace) the factory for a source name.  Built-ins
- * ("atom-loss", "leakage", "idle-dephasing", "correlated-pauli",
- * "biased-measurement") are pre-registered; external code may add
- * its own without touching the harness.
- */
-void registerNoiseSource(const std::string &name,
-                         NoiseSourceFactory factory);
-
-/**
- * Instantiate one source from its spec.  Throws FatalError on an
- * unknown source name (listing the registered ones) or an unknown
- * parameter name — a sweep over a misspelled axis must not silently
- * no-op (same loudness contract as the estimator registry).
+ * Instantiate one source ("atom-loss", "biased-measurement",
+ * "correlated-pauli", "idle-dephasing" or "leakage") from its spec.
+ * Throws FatalError on an unknown source name (listing the known
+ * ones) or an unknown parameter name — a sweep over a misspelled
+ * axis must not silently no-op (same loudness contract as the
+ * estimator registry).
  */
 std::unique_ptr<NoiseSource>
 makeNoiseSource(const NoiseSourceSpec &spec);
 
-/** Sorted list of registered source names. */
+/** Sorted list of the source names makeNoiseSource() knows. */
 std::vector<std::string> registeredNoiseSources();
 
 /**

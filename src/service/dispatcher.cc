@@ -71,17 +71,32 @@ Dispatcher::Dispatcher(DispatcherOptions opts)
     // a process-killing SIGPIPE.
     std::signal(SIGPIPE, SIG_IGN);
     workers_.resize(opts_.workers);
-    for (std::size_t slot = 0; slot < opts_.workers; ++slot)
-        spawnWorker(slot);
+    try {
+        for (std::size_t slot = 0; slot < opts_.workers; ++slot)
+            spawnWorker(slot);
+    } catch (...) {
+        // The destructor does not run for a throwing constructor:
+        // release the workers already spawned here, or their
+        // joinable reader threads would terminate the process.
+        stopWorkers();
+        throw;
+    }
 }
 
 void
 Dispatcher::spawnWorker(std::size_t slot)
 {
+    // Each failure below closes the descriptors taken so far: it
+    // typically means the table is full, and reporting the failure
+    // and stopping the other workers may need one.
     int inPipe[2];  // dispatcher -> child stdin
     int outPipe[2]; // child stdout -> dispatcher
-    TRAQ_REQUIRE(::pipe(inPipe) == 0 && ::pipe(outPipe) == 0,
-                 "dispatcher: pipe() failed");
+    TRAQ_REQUIRE(::pipe(inPipe) == 0, "dispatcher: pipe() failed");
+    if (::pipe(outPipe) != 0) {
+        ::close(inPipe[0]);
+        ::close(inPipe[1]);
+        TRAQ_FATAL("dispatcher: pipe() failed");
+    }
 
     // Prebuild argv/envp before fork: with reader threads running,
     // the child may only touch async-signal-safe calls (dup2,
@@ -104,7 +119,11 @@ Dispatcher::spawnWorker(std::size_t slot)
     envp.push_back(nullptr);
 
     const pid_t pid = ::fork();
-    TRAQ_REQUIRE(pid >= 0, "dispatcher: fork() failed");
+    if (pid < 0) {
+        for (int fd : {inPipe[0], inPipe[1], outPipe[0], outPipe[1]})
+            ::close(fd);
+        TRAQ_FATAL("dispatcher: fork() failed");
+    }
     if (pid == 0) {
         ::dup2(inPipe[0], 0);
         ::dup2(outPipe[1], 1);
@@ -122,13 +141,22 @@ Dispatcher::spawnWorker(std::size_t slot)
     w.pid = pid;
     w.stdinFd = inPipe[1];
     w.out = ::fdopen(outPipe[0], "r");
-    TRAQ_REQUIRE(w.out != nullptr, "dispatcher: fdopen() failed");
+    if (w.out == nullptr) {
+        ::close(outPipe[0]);
+        TRAQ_FATAL("dispatcher: fdopen() failed");
+    }
     w.alive = true;
     w.stdinOpen = true;
     w.reader = std::thread([this, slot] { readerMain(slot); });
 }
 
 Dispatcher::~Dispatcher()
+{
+    stopWorkers();
+}
+
+void
+Dispatcher::stopWorkers()
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);

@@ -178,6 +178,8 @@ class Dispatcher
     };
 
     void spawnWorker(std::size_t slot);
+    /** Close every worker's stdin, join its reader and reap it. */
+    void stopWorkers();
     void readerMain(std::size_t slot);
     /** Mark a worker dead and requeue its unacked jobs (lock
      *  held). */

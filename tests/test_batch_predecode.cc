@@ -13,21 +13,32 @@
  *    Monte-Carlo engine at 1 and N threads, while actually peeling
  *    (predecodedPairs > 0) so the test exercises the path.
  *
- * Plus unit tests of the Predecoder's peel conditions on a
- * hand-built chain graph and the TRAQ_PREDECODE loudness contract.
+ * A decoder built directly from a config must be the decoder
+ * makeDecoder() builds from it, peeling each pair once.  Plus unit
+ * tests of the Predecoder's peel conditions on a hand-built chain
+ * graph and the TRAQ_PREDECODE loudness contract.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/codes/experiments.hh"
 #include "src/common/assert.hh"
 #include "src/common/word.hh"
+#include "src/decoder/compile_cache.hh"
+#include "src/decoder/correlated.hh"
+#include "src/decoder/fallback.hh"
 #include "src/decoder/monte_carlo.hh"
+#include "src/decoder/mwpm.hh"
 #include "src/decoder/predecode.hh"
+#include "src/decoder/union_find.hh"
+#include "src/decoder/windowed.hh"
 #include "src/sim/dem.hh"
 #include "src/sim/frame.hh"
 
@@ -74,12 +85,14 @@ chainMeta(int n)
     return meta;
 }
 
-/** Sample `batches` simulator batches of `exp` and append each
- *  shot's syndrome (and block view data) to a CSR accumulator. */
+/** Sample `batches` simulator batches of a circuit and append each
+ *  shot's syndrome and fired herald channels to CSR accumulators. */
 struct SampledSyndromes
 {
     std::vector<std::uint32_t> offsets{0};
     std::vector<std::uint32_t> defects;
+    std::vector<std::uint32_t> heraldOffsets{0};
+    std::vector<std::uint32_t> heraldIds;
 
     std::uint64_t shots() const { return offsets.size() - 1; }
     SyndromeBatch view() const
@@ -94,10 +107,15 @@ struct SampledSyndromes
         return {defects.begin() + offsets[s],
                 defects.begin() + offsets[s + 1]};
     }
+    std::vector<std::uint32_t> heralds(std::uint64_t s) const
+    {
+        return {heraldIds.begin() + heraldOffsets[s],
+                heraldIds.begin() + heraldOffsets[s + 1]};
+    }
 };
 
 SampledSyndromes
-sampleSyndromes(const codes::Experiment &exp, unsigned lanes,
+sampleSyndromes(const sim::Circuit &circuit, unsigned lanes,
                 int batches, std::uint64_t seed)
 {
     sim::FrameSimulator fsim(seed, lanes);
@@ -106,7 +124,7 @@ sampleSyndromes(const codes::Experiment &exp, unsigned lanes,
     const std::vector<std::uint64_t> live(lanes, ~0ULL);
     SampledSyndromes out;
     for (int b = 0; b < batches; ++b) {
-        fsim.sampleInto(exp.circuit, batch);
+        fsim.sampleInto(circuit, batch);
         sim::extractSyndromeBlock(batch, live, block);
         for (std::uint64_t s = 0; s < block.shots(); ++s) {
             const auto syn = block.syndrome(s);
@@ -114,6 +132,11 @@ sampleSyndromes(const codes::Experiment &exp, unsigned lanes,
                                syn.end());
             out.offsets.push_back(
                 static_cast<std::uint32_t>(out.defects.size()));
+            const auto her = block.heralds(s);
+            out.heraldIds.insert(out.heraldIds.end(), her.begin(),
+                                 her.end());
+            out.heraldOffsets.push_back(
+                static_cast<std::uint32_t>(out.heraldIds.size()));
         }
     }
     return out;
@@ -133,7 +156,7 @@ TEST(BatchDecode, MatchesPerShotForAllRegisteredKinds)
     const auto graph =
         DecodeGraph::fromDem(sim::buildDem(e.circuit), e.meta);
     const auto syn =
-        sampleSyndromes(e, kWide512WordLanes, 4, 0xba7c);
+        sampleSyndromes(e.circuit, kWide512WordLanes, 4, 0xba7c);
     ASSERT_GT(syn.shots(), 0u);
 
     for (DecoderKind kind : registeredDecoderKinds()) {
@@ -170,7 +193,7 @@ TEST(Predecode, OnOffCorrectionsIdenticalForAllKinds)
         const auto graph = DecodeGraph::fromDem(
             sim::buildDem(exp->circuit), exp->meta);
         const auto syn =
-            sampleSyndromes(*exp, kWide512WordLanes, 6, 0x9e31);
+            sampleSyndromes(exp->circuit, kWide512WordLanes, 6, 0x9e31);
         for (DecoderKind kind : registeredDecoderKinds()) {
             DecoderConfig off;
             off.predecode = 0;
@@ -229,6 +252,161 @@ TEST(Predecode, OnOffCorrectionsIdenticalForAllKinds)
             EXPECT_EQ(decOn->predecodedPairs(), 0u);
         }
     }
+}
+
+/** The kind's class built directly from (graph, config). */
+std::unique_ptr<Decoder>
+buildDirectly(DecoderKind kind, const DecodeGraph &g,
+              const DecoderConfig &cfg)
+{
+    switch (kind) {
+    case DecoderKind::UnionFind:
+        return std::make_unique<UnionFindDecoder>(g, cfg);
+    case DecoderKind::Mwpm:
+        return std::make_unique<MwpmDecoder>(g, cfg);
+    case DecoderKind::Fallback:
+        return std::make_unique<FallbackDecoder>(g, cfg);
+    case DecoderKind::Correlated:
+        return std::make_unique<CorrelatedDecoder>(g, cfg);
+    case DecoderKind::Windowed:
+        return std::make_unique<WindowedDecoder>(g, cfg);
+    }
+    return nullptr;
+}
+
+TEST(DecoderFactory, DirectConstructionMatchesMakeDecoder)
+{
+    // One construction path: for every kind and every predecode x
+    // reachCache setting, a decoder built directly from a config and
+    // makeDecoder(kind, graph, config) agree on masks, used-edge
+    // lists, fallbacks() and predecodedPairs() over sampled d=3
+    // memory and lossy transversal-CNOT shots, each heralded shot
+    // decoded under its herald context as the engine does.  With
+    // predecode on, every kind — composites included — counts each
+    // pair a standalone peeler takes off a clean shot exactly once.
+    codes::SurfaceCode sc(3);
+    const auto mem = codes::buildMemory(
+        sc, 'Z', 3, codes::NoiseParams::uniform(0.01));
+    codes::TransversalCnotSpec spec;
+    spec.distance = 3;
+    spec.cnotLayers = 2;
+    spec.cnotsPerBatch = 1;
+    spec.seRoundsPerBatch = 1;
+    spec.noise = codes::NoiseParams::uniform(0.005);
+    noise::NoiseSpec loss;
+    loss.setFlat("noise.atom-loss.p", 0.0005);
+    const auto memSetup = compileDecodeSetup(mem, {}, false);
+    const auto cnotSetup = compileDecodeSetup(
+        codes::buildTransversalCnot(spec), loss, false);
+    ASSERT_TRUE(cnotSetup->compiled.has_value());
+
+    for (const auto &[circuit, setup] :
+         {std::pair{&mem.circuit, memSetup.get()},
+          std::pair{&*cnotSetup->compiled, cnotSetup.get()}}) {
+        const DecodeGraph &g = setup->graph;
+        const auto shots =
+            sampleSyndromes(*circuit, kWide512WordLanes, 2, 0xd1ec7);
+        std::vector<double> weights;
+        for (const GraphEdge &e : g.edges())
+            weights.push_back(e.weight);
+
+        // Pairs a standalone peeler takes off each clean shot
+        // (peeling is skipped under a herald override).
+        Predecoder peeler(g, DecoderConfig{}.predecodeRadius);
+        std::vector<std::uint64_t> peels;
+        std::vector<std::uint32_t> residue;
+        std::size_t heralded = 0;
+        for (std::uint64_t s = 0; s < shots.shots(); ++s) {
+            const std::uint64_t before = peeler.pairsPeeled();
+            if (shots.heralds(s).empty())
+                peeler.peel(shots.syndrome(s), {}, residue, nullptr);
+            else
+                ++heralded;
+            peels.push_back(peeler.pairsPeeled() - before);
+        }
+        ASSERT_GT(peeler.pairsPeeled(), 0u);
+        ASSERT_EQ(heralded > 0, g.numHeraldChannels() > 0);
+
+        for (DecoderKind kind : registeredDecoderKinds()) {
+            for (int predecode : {0, 1}) {
+                for (int reachCache : {0, 1}) {
+                    SCOPED_TRACE(std::string(decoderKindName(kind)) +
+                                 " predecode " +
+                                 std::to_string(predecode) +
+                                 " reachCache " +
+                                 std::to_string(reachCache));
+                    const DecoderConfig cfg{.predecode = predecode,
+                                            .reachCache = reachCache};
+                    const auto direct = buildDirectly(kind, g, cfg);
+                    const auto made = makeDecoder(kind, g, cfg);
+                    const bool reportsEdges =
+                        kind != DecoderKind::Windowed;
+                    std::vector<std::uint32_t> usedD, usedM;
+                    std::uint64_t wantPeels = 0;
+                    for (std::uint64_t s = 0; s < shots.shots(); ++s) {
+                        const auto syn = shots.syndrome(s);
+                        const auto heralds = shots.heralds(s);
+                        // The bare MWPM kind throws above its cap.
+                        if (kind == DecoderKind::Mwpm &&
+                            syn.size() > cfg.mwpmMaxDefects)
+                            continue;
+                        DecodeContext ctx;
+                        for (std::uint32_t c : heralds)
+                            for (std::uint32_t ei : g.channelEdges(c))
+                                weights[ei] = 0.0;
+                        if (!heralds.empty())
+                            ctx.weights = weights;
+                        usedD.clear();
+                        usedM.clear();
+                        ASSERT_EQ(direct->decodeWithContext(
+                                      syn, ctx,
+                                      reportsEdges ? &usedD : nullptr),
+                                  made->decodeWithContext(
+                                      syn, ctx,
+                                      reportsEdges ? &usedM : nullptr))
+                            << "shot " << s;
+                        ASSERT_EQ(usedD, usedM) << "shot " << s;
+                        for (std::uint32_t c : heralds)
+                            for (std::uint32_t ei : g.channelEdges(c))
+                                weights[ei] = g.edges()[ei].weight;
+                        wantPeels += peels[s];
+                    }
+                    EXPECT_EQ(direct->fallbacks(), made->fallbacks());
+                    EXPECT_EQ(direct->predecodedPairs(),
+                              made->predecodedPairs());
+                    EXPECT_EQ(direct->predecodedPairs(),
+                              predecode ? wantPeels : 0u);
+                }
+            }
+        }
+    }
+
+    // A default config follows TRAQ_PREDECODE in a directly built
+    // decoder too, composites peeling once at the outermost stage.
+    const DecodeGraph &g = memSetup->graph;
+    Predecoder peeler(g, DecoderConfig{}.predecodeRadius);
+    std::vector<std::uint32_t> pair, residue;
+    for (const GraphEdge &e : g.edges()) {
+        if (e.u == kBoundary)
+            continue;
+        pair = {static_cast<std::uint32_t>(std::min(e.u, e.v)),
+                static_cast<std::uint32_t>(std::max(e.u, e.v))};
+        peeler.peel(pair, {}, residue, nullptr);
+        if (peeler.pairsPeeled() == 1)
+            break;
+    }
+    ASSERT_EQ(peeler.pairsPeeled(), 1u);
+    for (const char *env : {"1", "0"}) {
+        ASSERT_EQ(setenv("TRAQ_PREDECODE", env, 1), 0);
+        UnionFindDecoder uf(g);
+        FallbackDecoder fallback(g);
+        uf.decodeSpan(pair);
+        fallback.decodeSpan(pair);
+        const std::uint64_t want = env[0] == '1' ? 1 : 0;
+        EXPECT_EQ(uf.predecodedPairs(), want) << env;
+        EXPECT_EQ(fallback.predecodedPairs(), want) << env;
+    }
+    ASSERT_EQ(unsetenv("TRAQ_PREDECODE"), 0);
 }
 
 TEST(Predecode, EngineResultsIdenticalAndThreadInvariant)

@@ -212,8 +212,10 @@ void
 expectOptimalOnGraph(const DecodeGraph &g, std::uint64_t seed)
 {
     Rng rng(seed);
-    MwpmDecoder cached(g, 22, false, 2, /*reachCache=*/true);
-    MwpmDecoder uncached(g, 22, false, 2, /*reachCache=*/false);
+    MwpmDecoder cached(
+        g, {.mwpmMaxDefects = 22, .predecode = 0, .reachCache = 1});
+    MwpmDecoder uncached(
+        g, {.mwpmMaxDefects = 22, .predecode = 0, .reachCache = 0});
     std::vector<double> weights;
     std::vector<std::uint32_t> used;
     for (int condition = 0; condition < 3; ++condition) {
@@ -529,8 +531,10 @@ TEST(Mwpm, UnmatchableDefectThrowsNamingIt)
     meta.observableIsX.assign(1, 0);
     DecodeGraph g = DecodeGraph::fromDem(dem, meta);
 
-    for (bool cache : {false, true}) {
-        MwpmDecoder mwpm(g, 18, false, 2, cache);
+    for (int cache : {0, 1}) {
+        MwpmDecoder mwpm(g, {.mwpmMaxDefects = 18,
+                             .predecode = 0,
+                             .reachCache = cache});
         auto failure = [&](std::vector<std::uint32_t> syn) {
             try {
                 mwpm.decodeSpan(syn);
@@ -624,8 +628,7 @@ TEST(Mwpm, CnotLossCorrectionDigestPinned)
             DecoderConfig cfg;
             cfg.predecode = 0;
             cfg.reachCache = cache;
-            FallbackDecoder fallback(g, cfg.mwpmMaxDefects, false, 2,
-                                     cache != 0);
+            FallbackDecoder fallback(g, cfg);
             CorrelatedDecoder correlated(g, cfg);
             // These circuits have 6 rounds, which the default 6-round
             // window covers whole; a 3-round window makes every shot
@@ -633,7 +636,9 @@ TEST(Mwpm, CnotLossCorrectionDigestPinned)
             cfg.windowRounds = 3;
             cfg.commitRounds = 1;
             WindowedDecoder windowed(g, cfg);
-            UnionFindDecoder unionFind(g);
+            // Peeling would put peeled edges first in the folded
+            // lists, so the pin holds only with predecode off.
+            UnionFindDecoder unionFind(g, {.predecode = 0});
             Fnv1a hf, hc, hw, hu;
             std::vector<double> weights;
             for (const GraphEdge &e : g.edges())
@@ -704,7 +709,8 @@ TEST(UnionFind, LargeClusterDigestPinned)
     const auto e = codes::buildMemory(sc, 'Z', 11,
                                       codes::NoiseParams::uniform(0.03));
     const DecodeGraph g = DecodeGraph::build(e);
-    UnionFindDecoder uf(g);
+    // Pinned with predecode off: peeled edges would lead the lists.
+    UnionFindDecoder uf(g, {.predecode = 0});
 
     // One-lane (scalar64) sampler, as in the lossy-CNOT digest.
     sim::FrameSimulator fs(0x5eed0b11u, 1);
@@ -733,11 +739,12 @@ TEST(Mwpm, CapEnforced)
 {
     auto dem = chainDem(30, 0.01);
     DecodeGraph g = DecodeGraph::fromDem(dem, chainMeta(30));
-    MwpmDecoder mwpm(g, 4);
+    MwpmDecoder mwpm(g, {.mwpmMaxDefects = 4});
     std::vector<std::uint32_t> syn{0, 3, 7, 11, 15};
     EXPECT_FALSE(mwpm.canDecode(syn));
     EXPECT_THROW(mwpm.decodeSpan(syn), traq::FatalError);
-    EXPECT_THROW(MwpmDecoder(g, 30), traq::FatalError);
+    EXPECT_THROW(MwpmDecoder(g, {.mwpmMaxDefects = 30}),
+                 traq::FatalError);
 }
 
 TEST(DecoderOnRealCircuit, GraphIsCleanForMemory)

@@ -142,13 +142,12 @@ TEST(MonteCarloEngine, EnvironmentOverridesDecoderKind)
     EXPECT_STREQ(plain.decoder, "mwpm+uf-fallback");
 }
 
-TEST(DecoderFactory, CustomRegistrationPlugsIn)
+TEST(BatchDecode, CustomDecoderSeesHeraldZeroedWeights)
 {
-    // A new decoder can take over a kind without touching the
-    // harness: it implements decodeWithContext() and name() only,
-    // and both decodeSpan() and the batch path reach it — a heralded
-    // row with the graph's weights, its herald's edges zeroed.
-    // Restore the builtin afterwards.
+    // A decoder that implements decodeWithContext() and name() only
+    // is reached by both decodeSpan() and the batch path — a
+    // heralded row with the graph's weights, its herald's edges
+    // zeroed.
     struct Fixed final : Decoder
     {
         std::vector<double> seenWeights;
@@ -163,10 +162,6 @@ TEST(DecoderFactory, CustomRegistrationPlugsIn)
         }
         const char *name() const override { return "fixed"; }
     };
-    registerDecoder(DecoderKind::UnionFind,
-                    [](const DecodeGraph &, const DecoderConfig &) {
-                        return std::unique_ptr<Decoder>(new Fixed);
-                    });
     // Herald channel 0 can explain the middle pair edge.
     auto dem = chainDem(3, 0.01);
     dem.numHeraldChannels = 1;
@@ -175,9 +170,8 @@ TEST(DecoderFactory, CustomRegistrationPlugsIn)
     ASSERT_EQ(g.channelEdges(0).size(), 1u);
     const std::uint32_t erased = g.channelEdges(0)[0];
 
-    auto dec = makeDecoder(DecoderKind::UnionFind, g);
-    const auto &fixed = dynamic_cast<const Fixed &>(*dec);
-    EXPECT_EQ(dec->decodeSpan(Syndrome{0}), 42u);
+    Fixed fixed;
+    EXPECT_EQ(fixed.decodeSpan(Syndrome{0}), 42u);
     EXPECT_TRUE(fixed.seenWeights.empty());
 
     const std::uint32_t offsets[] = {0, 1}, defects[] = {1};
@@ -190,21 +184,13 @@ TEST(DecoderFactory, CustomRegistrationPlugsIn)
     batch.graph = &g;
     std::uint32_t out = 0;
     BatchDecodeScratch scratch;
-    decodeBatchSorted(*dec, batch, {&out, 1}, scratch, /*memo=*/true);
+    decodeBatchSorted(fixed, batch, {&out, 1}, scratch, /*memo=*/true);
     EXPECT_EQ(out, 42u);
     ASSERT_EQ(fixed.seenWeights.size(), g.edges().size());
     for (std::uint32_t ei = 0; ei < g.edges().size(); ++ei)
         EXPECT_EQ(fixed.seenWeights[ei],
                   ei == erased ? 0.0 : g.edges()[ei].weight)
             << "edge " << ei;
-
-    registerDecoder(DecoderKind::UnionFind,
-                    [](const DecodeGraph &g2,
-                       const DecoderConfig &) {
-                        return std::make_unique<UnionFindDecoder>(g2);
-                    });
-    EXPECT_STREQ(makeDecoder(DecoderKind::UnionFind, g)->name(),
-                 "union-find");
 }
 
 TEST(DecoderParity, AgreeOnHandBuiltSyndromes)
@@ -239,7 +225,7 @@ TEST(FallbackDecoder, RoutesOversizedToUnionFindAndCounts)
 {
     auto dem = chainDem(15, 0.01);
     DecodeGraph g = DecodeGraph::fromDem(dem, chainMeta(15));
-    FallbackDecoder fb(g, /*mwpmMaxDefects=*/2);
+    FallbackDecoder fb(g, {.mwpmMaxDefects = 2});
     EXPECT_EQ(fb.decodeSpan(Syndrome{4, 5}), 0u);
     EXPECT_EQ(fb.fallbacks(), 0u);
     fb.decodeSpan(Syndrome{0, 4, 5, 9});
