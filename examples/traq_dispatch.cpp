@@ -26,6 +26,11 @@
  * Environment: TRAQ_DISPATCH_WORKERS and TRAQ_DISPATCH_INFLIGHT
  * default --workers / --inflight; malformed values fail loudly.
  *
+ * stdin is read with C stdio synchronisation off, as in traq_serve:
+ * synced std::cin makes a locked getc per byte, and this one reader
+ * feeds every worker, so it capped the rate at which added workers
+ * could help.  Output goes through fwrite/fprintf only.
+ *
  *     $ ./build/traq_dispatch --workers 4 --ordered \
  *           < tests/data/service_requests.jsonl
  */
@@ -122,6 +127,8 @@ siblingPath(const char *name)
 int
 main(int argc, char **argv)
 {
+    // Synced std::cin reads through a locked getc per byte.
+    std::ios::sync_with_stdio(false);
     unsigned long workerCount = 0;
     unsigned long inflight = 0;
     bool ordered = false;
@@ -205,18 +212,14 @@ main(int argc, char **argv)
     opts.workers = static_cast<unsigned>(workerCount);
     opts.inflight = inflight;
     opts.workerArgs = forwarded;
-    if (!resolvedCache.empty()) {
-        // One single-writer store per worker: PATH.wK.
-        for (unsigned k = 0; k < opts.workers; ++k)
-            opts.workerCacheFiles.push_back(
-                resolvedCache + ".w" + std::to_string(k));
-    }
+    opts.cacheFile = resolvedCache;
 
     std::size_t submitted = 0;
     int exitCode = 0;
     {
-        // Built inside the handler, so a worker that cannot be
-        // spawned (pipe, fork, fdopen) fails loudly, not by abort.
+        // Built inside the handler, so a worker count past the
+        // descriptor limit, or a worker that cannot be spawned
+        // (pipe, fork, fdopen), fails loudly, not by abort.
         std::optional<traq::service::Dispatcher> dispatcher;
         try {
             dispatcher.emplace(opts);

@@ -31,6 +31,14 @@
  * stderr, and only after stdout has been flushed and closed, so
  * stdout stays machine-consumable and a downstream consumer sees
  * end-of-results before any diagnostics exist.
+ *
+ * stdin is read with C stdio synchronisation off.  Synced, libstdc++
+ * reads std::cin through a locked getc (plus an ungetc) per byte,
+ * about 40% of the CPU a closed-form request costs (24.9 -> 14.0 us
+ * on a 4-vCPU VM).  Unsynced, it reads blocks, and getline still
+ * returns each line as soon as its newline arrives.  All output goes
+ * through fwrite/fprintf, never iostreams, so no output byte or
+ * flush moves.
  */
 
 #include <charconv>
@@ -121,6 +129,8 @@ usage(const char *argv0, int code)
 int
 main(int argc, char **argv)
 {
+    // Synced std::cin reads through a locked getc per byte.
+    std::ios::sync_with_stdio(false);
     traq::service::JobQueueOptions opts;
     bool ordered = false;
     for (int i = 1; i < argc; ++i) {

@@ -11,7 +11,8 @@ per-fixture hot-path speedup (vs the PR-7 generation), the
 caching-tier metrics (per-batch and cross-batch decode-memo hit
 rates, compile-cache sweep speedup, persistent-store warm-restart
 speedup), the DEM build speedup (backward sweep vs the forward
-reference builder, timed in the same run), and the CPU dispatch
+reference builder, timed in the same run), the service-burst rates
+(traq_serve and traq_dispatch with 1/2/4 workers), and the CPU dispatch
 level each run executed at (a dispatch change explains most
 wall-clock moves, so it is printed before the numbers).  Top-level
 keys this tool does not recognize are listed explicitly rather than
@@ -101,6 +102,7 @@ KNOWN_KEYS = {
     "warm_restart_speedup",
     "stream_req_per_s",
     "stream_first_result_ms",
+    "service_burst_req_per_s",
     "benches",
     "decode_latency_us_per_round",
     "_source",
@@ -184,6 +186,9 @@ def print_diff(base: dict, head: dict) -> None:
     print_fixture_diff(
         base, head, "dem_build_speedup", "speedup",
         "DEM build speedup, backward sweep vs forward reference (x)")
+    print_fixture_diff(
+        base, head, "service_burst_req_per_s", "req_per_s",
+        "service burst, traq_serve and traq_dispatch (req/s)")
 
     eff_b = base.get("parallel_efficiency_at_4")
     eff_h = head.get("parallel_efficiency_at_4")

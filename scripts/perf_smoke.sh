@@ -10,7 +10,12 @@
 # the DEM build: bench_sim_montecarlo times the backward-sweep
 # builder against the forward reference builder on the same circuits
 # in the same process ("dem-build-speedup[...]"), and the check fails
-# when that ratio drops under DEM_SPEEDUP_MIN.
+# when that ratio drops under DEM_SPEEDUP_MIN.  Finally it pipes one
+# burst of BURST_LINES distinct closed-form requests through a lone
+# traq_serve and through traq_dispatch with 1, 2 and 4 workers
+# ("service-burst[...]": req/s and CPU us per request); those lines
+# WARN, never FAIL, since the runner's core count decides how far
+# the dispatcher scales.
 #
 # Usage: scripts/perf_smoke.sh [build-dir]
 #
@@ -22,11 +27,11 @@
 # per-batch and cross-batch (process-global tier) decode-memo hit
 # rates, the compiled-artifact cache speedup and the DEM build
 # speedup from bench_sim_montecarlo, the persistent-store
-# warm-restart speedup from bench_service_throughput, and the
-# per-decoder decode-latency lines from bench_decoder_throughput —
-# is written there as one JSON document; CI uploads it as a dated
-# perf-history artifact so regressions can be traced across
-# commits, not just against the static baseline.
+# warm-restart speedup from bench_service_throughput, the
+# per-decoder decode-latency lines from bench_decoder_throughput and
+# the service-burst rates — is written there as one JSON document;
+# CI uploads it as a dated perf-history artifact so regressions can
+# be traced across commits, not just against the static baseline.
 #
 # The baseline file holds "<bench-binary> <baseline-seconds>" pairs;
 # baselines are deliberately loose (they bound machine-class, not
@@ -39,10 +44,12 @@ BASELINE_FILE="$(dirname "$0")/../bench/perf_baseline.txt"
 MARGIN=3
 EFF_WARN_THRESHOLD=0.6
 DEM_SPEEDUP_MIN=5
+BURST_LINES=20000
 
 fail=0
 outfile=$(mktemp)
-trap 'rm -f "$outfile"' EXIT
+burst_in=$(mktemp)
+trap 'rm -f "$outfile" "$burst_in"' EXIT
 efficiency=""
 bench_json=""
 latency_json=""
@@ -57,6 +64,7 @@ dem_speedups=""
 warm_restart=""
 stream_rps=""
 stream_first_ms=""
+burst_json=""
 
 while read -r name baseline; do
     case "$name" in
@@ -225,6 +233,77 @@ else
          "bench_service_throughput"
 fi
 
+# Service burst (informational): the six closed-form kinds in turn,
+# each line's parameter a distinct point within 10% of the
+# estimator's default, so no result cache serves a line.  All
+# processes run --threads 1 in streaming mode; CPU is user + sys of
+# the whole process tree.
+awk -v n="$BURST_LINES" 'BEGIN {
+    for (i = 0; i < n; ++i) {
+        f = 0.9 + 0.2 * (i + 0.5) / n
+        k = i % 6
+        if (k == 0)
+            printf "{\"kind\":\"factoring\",\"params\":" \
+                "{\"idlePeriod\":%.9g}}\n", 8e-3 * f
+        else if (k == 1)
+            printf "{\"kind\":\"gidney-ekera\",\"params\":" \
+                "{\"tReaction\":%.9g}}\n", 1e-5 * f
+        else if (k == 2)
+            printf "{\"kind\":\"idle-storage\",\"params\":" \
+                "{\"distance\":27,\"sePeriod\":%.9g}}\n", 8e-3 * f
+        else if (k == 3)
+            printf "{\"kind\":\"factory-design\",\"params\":" \
+                "{\"targetCczError\":%.9g}}\n", 1.6e-11 * f
+        else if (k == 4)
+            printf "{\"kind\":\"chemistry\",\"params\":" \
+                "{\"energyError\":%.9g}}\n", 1.6e-3 * f
+        else
+            printf "{\"kind\":\"qldpc-storage\",\"params\":" \
+                "{\"compressionFactor\":%.9g}}\n", 10 * f
+    }
+}' > "$burst_in"
+w1_rps=""
+for mode in serve dispatch-w1 dispatch-w2 dispatch-w4; do
+    if [[ "$mode" == serve ]]; then
+        cmd=("$BUILD_DIR/traq_serve" --threads 1)
+    else
+        cmd=("$BUILD_DIR/traq_dispatch" --threads 1
+             --workers "${mode#dispatch-w}")
+    fi
+    if [[ ! -x "${cmd[0]}" ]]; then
+        echo "perf-smoke: WARN service-burst[$mode]: MISSING ${cmd[0]}"
+        continue
+    fi
+    # "real user sys" seconds of the service and its children.
+    if ! times=$( { TIMEFORMAT='%R %U %S'
+                    time "${cmd[@]}" < "$burst_in" > "$outfile" \
+                        2> /dev/null; } 2>&1 ); then
+        echo "perf-smoke: WARN service-burst[$mode]: exited non-zero"
+        continue
+    fi
+    got=$(wc -l < "$outfile")
+    if [[ "$got" -ne "$BURST_LINES" ]]; then
+        echo "perf-smoke: WARN service-burst[$mode]: $got result" \
+             "lines for $BURST_LINES requests"
+        continue
+    fi
+    read -r rps cpu_us <<< "$(awk -v n="$BURST_LINES" -v t="$times" \
+        'BEGIN { split(t, f, " ");
+                 printf "%.0f %.1f", n / f[1], (f[2] + f[3]) / n * 1e6 }')"
+    [[ "$mode" == dispatch-w1 ]] && w1_rps=$rps
+    if [[ "$mode" == dispatch-w[24] && -n "$w1_rps" ]] \
+        && (( rps <= w1_rps )); then
+        echo "perf-smoke: WARN service-burst[$mode]: $rps req/s" \
+             "($cpu_us us CPU/req), no faster than 1 worker" \
+             "(expected with fewer cores than workers)"
+    else
+        echo "perf-smoke: OK   service-burst[$mode]: $rps req/s" \
+             "($cpu_us us CPU/req)"
+    fi
+    burst_json="${burst_json:+$burst_json, }{\"fixture\": \"$mode\",\
+ \"req_per_s\": $rps, \"cpu_us_per_req\": $cpu_us}"
+done
+
 if [[ -n "${PERF_HISTORY_JSON:-}" ]]; then
     {
         echo "{"
@@ -246,6 +325,7 @@ if [[ -n "${PERF_HISTORY_JSON:-}" ]]; then
         echo "  \"stream_req_per_s\": ${stream_rps:-null},"
         echo "  \"stream_first_result_ms\":" \
              "${stream_first_ms:-null},"
+        echo "  \"service_burst_req_per_s\": [$burst_json],"
         echo "  \"benches\": [$bench_json],"
         echo "  \"decode_latency_us_per_round\": [$latency_json]"
         echo "}"

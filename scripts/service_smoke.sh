@@ -26,7 +26,16 @@
 #      nothing on stdout) instead of wrapping to 0 or 1 workers, and
 #  11. a worker that cannot be spawned (an fd limit makes pipe()
 #      fail) failing traq_dispatch loudly (exit 1) after it stops
-#      the workers it already started, instead of aborting it.
+#      the workers it already started, instead of aborting it,
+#  12. worker counts the descriptor limit cannot hold (two pipe ends
+#      per worker) refused before any worker is sized or spawned
+#      (exit 1, RLIMIT_NOFILE named on stderr, no abort),
+#  13. a request answered while stdin is still open (interactive
+#      delivery: no reader waits for EOF or a full buffer, no
+#      emitter holds a result back), and
+#  14. stdin framing: a final line without a newline, CRLF line ends
+#      and one batch line far longer than a read block answered
+#      exactly as their plain LF-terminated form.
 #
 # Byte-identity legs use --ordered (traq_serve's default output is a
 # completion-order stream of {"index":N,...} tagged lines).
@@ -62,7 +71,8 @@ cachefile=$(mktemp)
 envcache=$(mktemp)
 bigreq=$(mktemp)
 bigexp=$(mktemp)
-trap 'rm -f "$out1" "$outn" "$stats" "$cachefile" "$envcache" "$bigreq" "$bigexp"' EXIT
+fifodir=$(mktemp -d)
+trap 'rm -f "$out1" "$outn" "$stats" "$cachefile" "$envcache" "$bigreq" "$bigexp"; rm -rf "$fifodir"' EXIT
 
 # Prefix each tagged {"index":N,...} line with its index and a tab,
 # sort numerically, drop the prefix: completion order -> input order.
@@ -338,3 +348,114 @@ if [[ "$status" -ne 1 ]] || [[ -s "$outn" ]] \
     exit 1
 fi
 echo "service-smoke: OK   worker spawn failure fails loudly (exit 1)"
+
+# Descriptor-limit leg: each worker holds two pipe ends in the
+# dispatcher, so under 32 descriptors any count above 16 must be
+# refused before the worker table or the per-worker store names are
+# built, and before any worker forks (a missing check forks about a
+# dozen here before pipe() fails).  A cap on allocation turns a
+# regression at 2^32 - 1 into an abort, not a machine-sized
+# allocation: the address-space limit, or for an ASan build (which
+# reserves terabytes of shadow and cannot start under that limit)
+# its allocator's size cap.
+asan=0
+if grep -q __asan_init "$DISPATCH"; then
+    asan=1
+fi
+for bad in "--workers=4294967295" "--workers=100" \
+           "--workers=4294967295 --cache-file $cachefile.w"; do
+    status=0
+    # shellcheck disable=SC2086  # split "$bad"
+    printf '{"kind":"gidney-ekera"}\n' \
+        | (ulimit -n 32
+           if [[ "$asan" -eq 0 ]]; then
+               ulimit -v 1000000
+           fi
+           ASAN_OPTIONS="${ASAN_OPTIONS:+$ASAN_OPTIONS:}max_allocation_size_mb=1024" \
+               exec "$DISPATCH" $bad --serve /nonexistent) > "$outn" \
+            2> "$stats" || status=$?
+    if [[ "$status" -ne 1 ]] || [[ -s "$outn" ]] \
+            || ! grep -q "RLIMIT_NOFILE" "$stats" \
+            || grep -q "terminate" "$stats"; then
+        echo "service-smoke: FAIL '$bad' under ulimit -n 32 gave" \
+             "exit $status (want 1 naming RLIMIT_NOFILE), stderr" \
+             "was:" >&2
+        cat "$stats" >&2
+        exit 1
+    fi
+done
+echo "service-smoke: OK   worker counts past the descriptor limit" \
+     "refused (exit 1)"
+
+# Interactive leg: with stdin held open on a FIFO, one request line
+# must come back tagged within 5 s, before stdin closes.
+mkfifo "$fifodir/in"
+for mode in serve dispatch; do
+    if [[ "$mode" == serve ]]; then
+        cmd=("$SERVE")
+    else
+        cmd=("$DISPATCH" --workers 2)
+    fi
+    : > "$outn"
+    "${cmd[@]}" < "$fifodir/in" > "$outn" 2> /dev/null &
+    spid=$!
+    exec 3> "$fifodir/in"
+    start=$(date +%s%N)
+    printf '{"kind":"gidney-ekera"}\n' >&3
+    waited_ms=""
+    while (( $(date +%s%N) - start < 5000000000 )); do
+        if grep -q '^{"index":0,"kind":"gidney-ekera",' "$outn" \
+                && [[ -z "$(tail -c 1 "$outn")" ]]; then
+            waited_ms=$(( ($(date +%s%N) - start) / 1000000 ))
+            break
+        fi
+        sleep 0.01
+    done
+    exec 3>&-
+    status=0
+    wait "$spid" || status=$?
+    if [[ -z "$waited_ms" ]] || [[ "$status" -ne 0 ]]; then
+        echo "service-smoke: FAIL $mode gave no result within 5 s" \
+             "while stdin stayed open (exit $status)" >&2
+        exit 1
+    fi
+    echo "service-smoke: OK   $mode answered in ${waited_ms} ms with" \
+         "stdin open"
+done
+
+# Framing leg: every variant must give, byte for byte, what its plain
+# LF-terminated form gives, through both --ordered binaries.  The
+# batch line (12,000 requests, ~800 KB) spans many read blocks; its
+# expected output is built from one request's answer.
+array12k() {
+    R="$1" awk 'BEGIN { printf "[";
+        for (i = 0; i < 12000; ++i)
+            printf "%s%s", (i ? "," : ""), ENVIRON["R"];
+        print "]" }'
+}
+check_framing() { # <name> <input> <expected output>
+    if ! "$SERVE" --ordered < "$2" 2> /dev/null | cmp -s "$3" - \
+            || ! "$DISPATCH" --ordered --workers 2 < "$2" 2> /dev/null \
+                | cmp -s "$3" -; then
+        echo "service-smoke: FAIL $1 input differs from its" \
+             "LF-terminated form" >&2
+        exit 1
+    fi
+}
+one='{"kind":"gidney-ekera","params":{"tReaction":1e-05,"distance":27}}'
+batch="$fifodir/batch"
+batchexp="$fifodir/batchexp"
+array12k "$one" > "$batch"
+array12k "$(printf '%s\n' "$one" | "$SERVE" --ordered 2> /dev/null)" \
+    > "$batchexp"
+if (( $(wc -c < "$batch") < 512 * 1024 )); then
+    echo "service-smoke: FAIL framing batch line is under 512 KiB" >&2
+    exit 1
+fi
+grep -vE '^[[:space:]]*(#|$)' "$REQUESTS" | head -c -1 > "$bigreq"
+check_framing no-final-newline "$bigreq" "$GOLDEN"
+sed 's/$/\r/' "$REQUESTS" > "$out1"
+check_framing crlf "$out1" "$GOLDEN"
+check_framing long-batch "$batch" "$batchexp"
+echo "service-smoke: OK   final line without newline, CRLF and an" \
+     "$(( $(wc -c < "$batch") / 1024 )) KiB batch line framed like LF"

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #include <utility>
@@ -15,21 +16,20 @@ extern char **environ;
 namespace traq::service {
 namespace {
 
-/** Copy the environment, overriding TRAQ_CACHE_FILE.  An empty
- *  @p cacheFile with @p override set unsets the variable, so a
- *  parent's env cannot point every worker at one single-writer
- *  store. */
+/** Copy the environment; a non-empty @p cacheFile replaces
+ *  TRAQ_CACHE_FILE, so a parent's env cannot point every worker at
+ *  one single-writer store. */
 std::vector<std::string>
-childEnv(bool override, const std::string &cacheFile)
+childEnv(const std::string &cacheFile)
 {
     std::vector<std::string> env;
     for (char **e = environ; *e != nullptr; ++e) {
-        if (override &&
+        if (!cacheFile.empty() &&
             startsWith(*e, "TRAQ_CACHE_FILE="))
             continue;
         env.emplace_back(*e);
     }
-    if (override && !cacheFile.empty())
+    if (!cacheFile.empty())
         env.push_back("TRAQ_CACHE_FILE=" + cacheFile);
     return env;
 }
@@ -62,10 +62,18 @@ Dispatcher::Dispatcher(DispatcherOptions opts)
                  "dispatcher needs at least one worker");
     TRAQ_REQUIRE(!opts_.servePath.empty(),
                  "dispatcher needs the traq_serve path");
-    TRAQ_REQUIRE(opts_.workerCacheFiles.empty() ||
-                     opts_.workerCacheFiles.size() == opts_.workers,
-                 "dispatcher: workerCacheFiles must be empty or "
-                 "one per worker");
+    // Each live worker holds two pipe ends here.  A count the
+    // descriptor table cannot hold is refused before anything is
+    // sized or spawned: four billion worker slots would abort on
+    // bad_alloc, and a count that fits in memory would fork.
+    rlimit files{};
+    if (::getrlimit(RLIMIT_NOFILE, &files) == 0 &&
+        files.rlim_cur != RLIM_INFINITY &&
+        opts_.workers > files.rlim_cur / 2)
+        TRAQ_FATAL("dispatcher: " + std::to_string(opts_.workers) +
+                   " workers need two descriptors each, more than "
+                   "the soft RLIMIT_NOFILE of " +
+                   std::to_string(files.rlim_cur) + " allows");
     inflightBound_ = opts_.inflight ? opts_.inflight : 32;
     // A worker death must surface as a write error we handle, not
     // a process-killing SIGPIPE.
@@ -109,10 +117,10 @@ Dispatcher::spawnWorker(std::size_t slot)
     for (std::string &a : argStore)
         argv.push_back(a.data());
     argv.push_back(nullptr);
-    const bool overrideEnv = !opts_.workerCacheFiles.empty();
     std::vector<std::string> envStore = childEnv(
-        overrideEnv,
-        overrideEnv ? opts_.workerCacheFiles[slot] : std::string());
+        opts_.cacheFile.empty()
+            ? std::string()
+            : opts_.cacheFile + ".w" + std::to_string(slot));
     std::vector<char *> envp;
     for (std::string &e : envStore)
         envp.push_back(e.data());

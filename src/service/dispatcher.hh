@@ -78,19 +78,17 @@ struct DispatcherOptions
     std::size_t inflight = 0;
     /**
      * Extra arguments forwarded to every worker (e.g. --threads,
-     * --cache).  The dispatcher itself adds nothing; per-worker
-     * cache files are the caller's job (traq_dispatch suffixes
-     * ".wN" — stores are single-writer, common/castore.hh).
+     * --cache).  The dispatcher itself adds nothing.
      */
     std::vector<std::string> workerArgs;
     /**
-     * Per-worker value for the TRAQ_CACHE_FILE environment
-     * variable; "" entries unset it.  Size must be 0 (inherit) or
-     * == workers.  This is how traq_dispatch keeps a cache-file
-     * environment inherited from the parent from pointing every
-     * worker at the same single-writer store.
+     * Persistent cache store path.  Stores are single-writer
+     * (common/castore.hh), so worker K gets PATH.wK as its
+     * TRAQ_CACHE_FILE environment variable, replacing any value
+     * inherited from the parent.  "" = workers inherit the
+     * environment unchanged.
      */
-    std::vector<std::string> workerCacheFiles;
+    std::string cacheFile;
 };
 
 /** One merged result: global input-line index + untagged payload. */

@@ -11,6 +11,8 @@ the report contract:
     rates, compile-cache and warm-restart speedups),
   - the same-run DEM build speedup per fixture, including a fixture
     only the newer record has,
+  - the service-burst rates per serving mode, including a worker
+    count only the newer record has,
   - unrecognized top-level keys are listed explicitly, never
     silently dropped,
   - the exit code is 0 for every well-formed input (it is a report,
@@ -89,6 +91,16 @@ class PerfHistoryDiffTest(unittest.TestCase):
         self.assertRegex(out, r"memory d=7\s+30\.500 ->\s+27\.400\s+-10\.2%")
         self.assertRegex(out, r"cnot-loss d=7\s+added")
         self.assertNotIn("dem_build_speedup,", out)
+
+    def test_service_burst(self):
+        out = self.diff_output()
+        self.assertIn("service burst, traq_serve and traq_dispatch", out)
+        self.assertRegex(
+            out, r"dispatch-w2\s+68000\.000 ->\s+138000\.000\s+\+102\.9%"
+        )
+        self.assertRegex(out, r"serve\s+78000\.000 ->\s+104000\.000")
+        self.assertRegex(out, r"dispatch-w4\s+added")
+        self.assertNotIn("service_burst_req_per_s", out)
 
     def test_dispatch_change_flagged(self):
         out = self.diff_output()

@@ -5,8 +5,9 @@
  * backpressure and completion streaming (job_service.hh), the wire
  * tag format (wire.hh), the CaStore single-writer lock, and the
  * multi-process dispatcher (dispatcher.hh) — including N-worker
- * --ordered byte-identity, the kill-a-worker retry path and workers
- * that break the line protocol.
+ * --ordered byte-identity, the kill-a-worker retry path, workers
+ * that break the line protocol, per-worker stores and worker counts
+ * past the descriptor limit.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <sys/resource.h>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -667,6 +669,75 @@ TEST(Dispatcher, ProtocolViolatingWorkersFailLoudlyWithoutAborting)
             << e.what();
     }
     EXPECT_EQ(dispatcher.liveWorkers(), 0u);
+}
+
+TEST(Dispatcher, CacheFileGivesEachWorkerItsOwnStore)
+{
+    // Stores are single-writer: cacheFile PATH must reach worker K
+    // as PATH.wK, replacing a TRAQ_CACHE_FILE inherited from the
+    // parent, which would point every worker at one store.
+    TempFile base;
+    const std::string inherited = base.path() + ".env";
+    ASSERT_EQ(setenv("TRAQ_CACHE_FILE", inherited.c_str(), 1), 0);
+    {
+        service::DispatcherOptions opts;
+        opts.servePath = buildSibling("traq_serve");
+        opts.workers = 2;
+        opts.cacheFile = base.path();
+        service::Dispatcher dispatcher(opts);
+        const auto fixture = dispatchFixture();
+        EXPECT_EQ(runDispatch(dispatcher, fixture).size(),
+                  fixture.size());
+    }
+    ASSERT_EQ(unsetenv("TRAQ_CACHE_FILE"), 0);
+    for (const char *suffix : {".w0", ".w1"}) {
+        const std::string store = base.path() + suffix;
+        EXPECT_EQ(access(store.c_str(), F_OK), 0) << store;
+        std::remove(store.c_str());
+    }
+    EXPECT_NE(access(inherited.c_str(), F_OK), 0);
+    std::remove(inherited.c_str());
+}
+
+TEST(Dispatcher, RejectsWorkerCountsPastTheDescriptorLimit)
+{
+    // Each worker holds two pipe ends in the dispatcher, so with a
+    // soft limit of 64 descriptors anything above 32 workers must be
+    // refused before the worker table is sized or anything spawns.
+    rlimit saved{};
+    ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
+    if (saved.rlim_max != RLIM_INFINITY && saved.rlim_max < 64)
+        GTEST_SKIP() << "hard RLIMIT_NOFILE below 64";
+    rlimit lowered = saved;
+    lowered.rlim_cur = 64;
+    ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &lowered), 0);
+    struct Restore
+    {
+        const rlimit &limit;
+        ~Restore() { setrlimit(RLIMIT_NOFILE, &limit); }
+    } restore{saved};
+
+    // 40 first: a missing check fails it at pipe() with another
+    // message, and the ASSERT then keeps UINT_MAX from sizing four
+    // billion workers.
+    for (const unsigned workers :
+         {40u, std::numeric_limits<unsigned>::max()}) {
+        service::DispatcherOptions opts;
+        opts.servePath = "/nonexistent";
+        opts.workers = workers;
+        std::string message;
+        try {
+            service::Dispatcher dispatcher(opts);
+        } catch (const FatalError &e) {
+            message = e.what();
+        }
+        ASSERT_NE(message.find("RLIMIT_NOFILE of 64"),
+                  std::string::npos)
+            << workers << " workers: '" << message << "'";
+        EXPECT_NE(message.find(std::to_string(workers) + " workers"),
+                  std::string::npos)
+            << message;
+    }
 }
 
 } // namespace
