@@ -19,8 +19,9 @@
  * decode memoization, the process-global syndrome memo and the MWPM
  * reach cache; the "hotpath-speedup-vs-pr7[...]" /
  * "decode-memo-hit-rate[...]" / "cross-batch-memo-hit-rate[...]"
- * lines record the wins), the backward-sweep DEM builder against
- * the forward reference builder on the d=7 benchmark circuits
+ * lines record the wins, and "batch-decode-ns-per-shot[...]" the
+ * time inside decodeBatchSorted), the backward-sweep DEM builder
+ * against the forward reference builder on the d=7 benchmark circuits
  * ("dem-build-speedup[...]"), the compiled-artifact cache over a
  * SweepRunner seed grid ("compile-cache-speedup[...]"), and the
  * sharded engine's thread scaling; the final
@@ -97,14 +98,17 @@ samplerShotsPerSec(const traq::codes::Experiment &e, unsigned lanes,
  * decoder call once the global tier joins in: within-batch memo
  * hits plus cross-batch global hits, over all shots.  It is >= the
  * per-batch `memoHitRate` by construction — the global tier only
- * adds hits the batch-local memo cannot see.
+ * adds hits the batch-local memo cannot see.  `batchDecodeNs` is
+ * the time spent inside decodeBatchSorted per shot: sorting, both
+ * memo tiers, the decodes and the scatter.
  */
 double
 fullStackShotsPerSec(const traq::codes::Experiment &e,
                      const traq::decoder::DecodeGraph &graph,
                      unsigned lanes, std::uint64_t shots,
                      bool previous, double *memoHitRate = nullptr,
-                     double *crossBatchRate = nullptr)
+                     double *crossBatchRate = nullptr,
+                     double *batchDecodeNs = nullptr)
 {
     using namespace traq;
     sim::FrameSimulator fs(1234, lanes,
@@ -135,6 +139,7 @@ fullStackShotsPerSec(const traq::codes::Experiment &e,
     std::uint64_t done = 0;
     std::uint64_t memoHits = 0;
     std::uint64_t globalHits = 0;
+    double decodeSeconds = 0.0;
     while (done < shots) {
         fs.sampleInto(e.circuit, batch);
         if (previous)
@@ -144,9 +149,11 @@ fullStackShotsPerSec(const traq::codes::Experiment &e,
         decoder::SyndromeBatch view;
         view.offsets = block.offsets;
         view.defects = block.defects;
+        const auto td = std::chrono::steady_clock::now();
         const auto st = decoder::decodeBatchSorted(
             *dec, view, predicted, scratch, !previous, global,
             setup);
+        decodeSeconds += secondsSince(td);
         memoHits += st.memoHits;
         globalHits += st.globalHits;
         done += batch.shots();
@@ -158,6 +165,8 @@ fullStackShotsPerSec(const traq::codes::Experiment &e,
         *crossBatchRate =
             done ? static_cast<double>(memoHits + globalHits) / done
                  : 0.0;
+    if (batchDecodeNs)
+        *batchDecodeNs = done ? decodeSeconds * 1e9 / done : 0.0;
     return static_cast<double>(done) / secondsSince(t0);
 }
 
@@ -265,9 +274,10 @@ main()
                       fmtE(prior, 2), "1.00x"});
             double memoHitRate = 0.0;
             double crossBatchRate = 0.0;
+            double batchDecodeNs = 0.0;
             const double full = fullStackShotsPerSec(
                 e, graph, kWide512WordLanes, shots, false,
-                &memoHitRate, &crossBatchRate);
+                &memoHitRate, &crossBatchRate, &batchDecodeNs);
             h.addRow({cfg, "dispatch+transpose+memo+reach-cache",
                       std::to_string(kWide512WordLanes),
                       fmtE(full, 2), fmtF(full / prior, 2) + "x"});
@@ -289,6 +299,12 @@ main()
                         "%.3f (per-batch %.3f + process-global "
                         "tier)\n",
                         d, crossBatchRate, memoHitRate);
+            // The memo-replay stage on its own: sort, both memo
+            // tiers, decodes and scatter (recorded, never gated).
+            std::printf("batch-decode-ns-per-shot[memory d=%d]: %.1f "
+                        "ns/shot (decodeBatchSorted, per-batch + "
+                        "process-global memo)\n",
+                        d, batchDecodeNs);
         }
         std::printf("\n");
         h.print();

@@ -10,7 +10,8 @@ per-bench elapsed deltas, per-decoder decode-latency deltas,
 per-fixture hot-path speedup (vs the PR-7 generation), the
 caching-tier metrics (per-batch and cross-batch decode-memo hit
 rates, compile-cache sweep speedup, persistent-store warm-restart
-speedup), the DEM build speedup (backward sweep vs the forward
+speedup), the time inside decodeBatchSorted per shot (memo replay),
+the DEM build speedup (backward sweep vs the forward
 reference builder, timed in the same run), the service-burst rates
 (traq_serve and traq_dispatch with 1/2/4 workers), and the CPU dispatch
 level each run executed at (a dispatch change explains most
@@ -97,6 +98,7 @@ KNOWN_KEYS = {
     "hotpath_speedup_vs_pr7",
     "decode_memo_hit_rate",
     "cross_batch_memo_hit_rate",
+    "batch_decode_ns_per_shot",
     "compile_cache_speedup",
     "dem_build_speedup",
     "warm_restart_speedup",
@@ -180,6 +182,9 @@ def print_diff(base: dict, head: dict) -> None:
     print_fixture_diff(
         base, head, "cross_batch_memo_hit_rate", "hit_rate",
         "cross-batch memo hit rate (process-global tier)")
+    print_fixture_diff(
+        base, head, "batch_decode_ns_per_shot", "ns_per_shot",
+        "batch decode, time inside decodeBatchSorted (ns/shot)")
     print_fixture_diff(
         base, head, "compile_cache_speedup", "speedup",
         "compile-cache sweep speedup (x)")

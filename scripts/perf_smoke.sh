@@ -15,7 +15,10 @@
 # traq_serve and through traq_dispatch with 1, 2 and 4 workers
 # ("service-burst[...]": req/s and CPU us per request); those lines
 # WARN, never FAIL, since the runner's core count decides how far
-# the dispatcher scales.
+# the dispatcher scales.  The memo-replay stage is recorded the same
+# way: bench_sim_montecarlo's "batch-decode-ns-per-shot[...]" lines
+# (time inside decodeBatchSorted per shot, both memo tiers on) are
+# printed and kept, and only their absence WARNs.
 #
 # Usage: scripts/perf_smoke.sh [build-dir]
 #
@@ -25,13 +28,14 @@
 # at, the end-to-end hot-path speedup vs the PR-7 generation
 # (baseline kernels + scalar extract, no memo/reach-cache), the
 # per-batch and cross-batch (process-global tier) decode-memo hit
-# rates, the compiled-artifact cache speedup and the DEM build
-# speedup from bench_sim_montecarlo, the persistent-store
-# warm-restart speedup from bench_service_throughput, the
-# per-decoder decode-latency lines from bench_decoder_throughput and
-# the service-burst rates — is written there as one JSON document;
-# CI uploads it as a dated perf-history artifact so regressions can
-# be traced across commits, not just against the static baseline.
+# rates, the batch-decode time per shot, the compiled-artifact cache
+# speedup and the DEM build speedup from bench_sim_montecarlo, the
+# persistent-store warm-restart speedup from
+# bench_service_throughput, the per-decoder decode-latency lines from
+# bench_decoder_throughput and the service-burst rates — is written
+# there as one JSON document; CI uploads it as a dated perf-history
+# artifact so regressions can be traced across commits, not just
+# against the static baseline.
 #
 # The baseline file holds "<bench-binary> <baseline-seconds>" pairs;
 # baselines are deliberately loose (they bound machine-class, not
@@ -58,6 +62,8 @@ speedup_json=""
 speedup_lines=""
 memo_json=""
 cross_memo_json=""
+batch_decode_json=""
+batch_decode_lines=""
 compile_cache_json=""
 dem_speedup_json=""
 dem_speedups=""
@@ -123,6 +129,16 @@ while read -r name baseline; do
             split($3, f, " ");
             printf "%s{\"fixture\": \"%s\", \"hit_rate\": %s}",
                 (n++ ? ", " : ""), $2, f[2] }' "$outfile")
+        # batch-decode-ns-per-shot[<fixture>]: <ns> ns/shot (...)
+        batch_decode_json=$(awk -F'[][]' \
+            '/^batch-decode-ns-per-shot\[/ {
+            split($3, f, " ");
+            printf "%s{\"fixture\": \"%s\", \"ns_per_shot\": %s}",
+                (n++ ? ", " : ""), $2, f[2] }' "$outfile")
+        batch_decode_lines=$(awk -F'[][]' \
+            '/^batch-decode-ns-per-shot\[/ { split($3, f, " ");
+            printf "perf-smoke: OK   batch-decode-ns-per-shot[%s] =\
+ %s ns/shot\n", $2, f[2] }' "$outfile")
         # compile-cache-speedup[<fixture>]: <X.XX>x (...)
         compile_cache_json=$(awk -F'[][]' \
             '/^compile-cache-speedup\[/ {
@@ -212,6 +228,15 @@ else
     echo "perf-smoke: FAIL no dem-build-speedup lines from" \
          "bench_sim_montecarlo" >&2
     fail=1
+fi
+
+# Memo replay (informational): time inside decodeBatchSorted per
+# shot on the hot-path fixtures, both memo tiers on.
+if [[ -n "$batch_decode_lines" ]]; then
+    echo "$batch_decode_lines"
+else
+    echo "perf-smoke: WARN no batch-decode-ns-per-shot lines from" \
+         "bench_sim_montecarlo"
 fi
 
 # Caching tiers (informational; the hard gates are the bench-level
@@ -319,6 +344,7 @@ if [[ -n "${PERF_HISTORY_JSON:-}" ]]; then
         echo "  \"hotpath_speedup_vs_pr7\": [$speedup_json],"
         echo "  \"decode_memo_hit_rate\": [$memo_json],"
         echo "  \"cross_batch_memo_hit_rate\": [$cross_memo_json],"
+        echo "  \"batch_decode_ns_per_shot\": [$batch_decode_json],"
         echo "  \"compile_cache_speedup\": [$compile_cache_json],"
         echo "  \"dem_build_speedup\": [$dem_speedup_json],"
         echo "  \"warm_restart_speedup\": ${warm_restart:-null},"

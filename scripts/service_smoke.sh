@@ -32,10 +32,13 @@
 #      (exit 1, RLIMIT_NOFILE named on stderr, no abort),
 #  13. a request answered while stdin is still open (interactive
 #      delivery: no reader waits for EOF or a full buffer, no
-#      emitter holds a result back), and
+#      emitter holds a result back),
 #  14. stdin framing: a final line without a newline, CRLF line ends
 #      and one batch line far longer than a read block answered
-#      exactly as their plain LF-terminated form.
+#      exactly as their plain LF-terminated form, and
+#  15. a --serve path that cannot be executed (missing, or without
+#      execute permission) named with its errno text at start-up
+#      (exit 1, nothing on stdout), for empty input as for a request.
 #
 # Byte-identity legs use --ordered (traq_serve's default output is a
 # completion-order stream of {"index":N,...} tagged lines).
@@ -459,3 +462,35 @@ check_framing crlf "$out1" "$GOLDEN"
 check_framing long-batch "$batch" "$batchexp"
 echo "service-smoke: OK   final line without newline, CRLF and an" \
      "$(( $(wc -c < "$batch") / 1024 )) KiB batch line framed like LF"
+
+# Unexecutable-worker leg: each worker's exec status comes back to the
+# dispatcher before it starts reading, so a --serve path that cannot
+# run fails traq_dispatch at start-up, naming the path and the reason
+# — with no input too, where it used to exit 0 as if the run were
+# empty, and with a request, where it used to say only that every
+# worker was dead.
+noexec="$fifodir/noexec"
+: > "$noexec"
+chmod 0644 "$noexec"
+for case in "/nonexistent-traq-serve:No such file or directory" \
+            "$noexec:Permission denied"; do
+    path=${case%%:*}
+    reason=${case#*:}
+    for input in '' '{"kind":"gidney-ekera"}'; do
+        status=0
+        printf '%s' "${input:+$input$'\n'}" \
+            | "$DISPATCH" --workers 2 --serve "$path" > "$outn" \
+                2> "$stats" || status=$?
+        if [[ "$status" -ne 1 ]] || [[ -s "$outn" ]] \
+                || ! grep -qF "cannot execute worker '$path': $reason" \
+                    "$stats"; then
+            echo "service-smoke: FAIL --serve $path with" \
+                 "${input:-empty} input gave exit $status (want 1" \
+                 "naming the path and '$reason'), stderr was:" >&2
+            cat "$stats" >&2
+            exit 1
+        fi
+    done
+done
+echo "service-smoke: OK   unexecutable --serve paths named at start-up" \
+     "(exit 1)"

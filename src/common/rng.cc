@@ -122,7 +122,11 @@ Rng::bernoulliPlane(double p, std::uint64_t *words,
     // is dominated by the single terminating draw — and halves again
     // every time the plane width doubles.
     auto sparseFill = [&](double q, bool setOnes) {
-        const double invLogQ = 1.0 / std::log1p(-q);
+        if (q != lastQ_) {
+            lastQ_ = q;
+            lastInvLogQ_ = 1.0 / std::log1p(-q);
+        }
+        const double invLogQ = lastInvLogQ_;
         const double total =
             static_cast<double>(numWords) * 64.0;
         double pos = 0.0;

@@ -86,6 +86,11 @@ class Rng
 
   private:
     std::uint64_t s_[4];
+    /** The sparse probability bernoulliPlane() last sampled and its
+     *  1 / log1p(-q): the sampler asks for the same q once per target
+     *  of a noise instruction, so the log is taken once per q. */
+    double lastQ_ = 0.0;
+    double lastInvLogQ_ = 0.0;
 };
 
 } // namespace traq

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "src/common/assert.hh"
 #include "src/decoder/correlated.hh"
@@ -276,34 +277,67 @@ decodeBatchSorted(Decoder &dec, const SyndromeBatch &batch,
     // Ascending defect count, stable within a count class: the order
     // is a pure function of the batch, so the decode sequence — and
     // with it every tie-break-sensitive result — is deterministic.
+    // A counting sort: histogram the counts, turn the histogram into
+    // run starts, then drop the shots into their runs in shot order.
+    auto count = [&](std::uint64_t s) {
+        return batch.offsets[s + 1] - batch.offsets[s];
+    };
+    std::uint32_t maxCount = 0;
+    for (std::uint64_t s = 0; s < n; ++s)
+        maxCount = std::max(maxCount, count(s));
+    auto &start = scratch.countStart;
+    start.assign(std::size_t{maxCount} + 1, 0);
+    for (std::uint64_t s = 0; s < n; ++s)
+        ++start[count(s)];
+    std::uint32_t run = 0;
+    for (std::uint32_t &c : start)
+        run += std::exchange(c, run);
     auto &perm = scratch.perm;
     perm.resize(n);
     for (std::uint64_t s = 0; s < n; ++s)
-        perm[s] = static_cast<std::uint32_t>(s);
-    std::stable_sort(perm.begin(), perm.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                         return batch.offsets[a + 1] -
-                                    batch.offsets[a] <
-                                batch.offsets[b + 1] -
-                                    batch.offsets[b];
-                     });
+        perm[start[count(s)]++] = static_cast<std::uint32_t>(s);
 
     // Collapse the sorted shots into decode rows: with memo on, one
     // per distinct (defects, heralds) in first-occurrence order (which
     // inherits the defect-count sort); with memo off, one per shot.
-    scratch.memo.clear();
+    // The memo table is sized for load <= 1/2 and invalidated by a
+    // fresh epoch; only a wrapped epoch needs the stamps cleared.
+    std::size_t memoMask = 0;
+    int memoShift = 0;
+    if (memo) {
+        auto &table = scratch.memo;
+        if (table.size() < 2 * n) {
+            table.assign(std::bit_ceil(2 * n), {});
+            scratch.memoEpoch = 0;
+        }
+        if (++scratch.memoEpoch == 0) {
+            for (auto &slot : table)
+                slot.epoch = 0;
+            scratch.memoEpoch = 1;
+        }
+        memoMask = table.size() - 1;
+        memoShift = 64 - std::countr_zero(table.size());
+    }
     scratch.rowOf.resize(n);
     scratch.rowShot.clear();
     for (std::uint64_t i = 0; i < n; ++i) {
         const std::uint32_t s = perm[i];
+        const auto nextRow =
+            static_cast<std::uint32_t>(scratch.rowShot.size());
         if (memo) {
             const auto syn = batch.syndrome(s);
             const auto heralds = batch.heralds(s);
-            auto [it, inserted] = scratch.memo.try_emplace(
-                hashSyndrome(syn, heralds),
-                static_cast<std::uint32_t>(scratch.rowShot.size()));
-            if (!inserted) {
-                const std::uint32_t r = it->second;
+            const std::uint64_t h = hashSyndrome(syn, heralds);
+            // Fibonacci hashing: the product's top bits pick the
+            // home slot (the table has at least two).
+            std::size_t at = (h * 0x9e3779b97f4a7c15ULL) >> memoShift;
+            auto *slot = &scratch.memo[at];
+            while (slot->epoch == scratch.memoEpoch && slot->hash != h)
+                slot = &scratch.memo[at = (at + 1) & memoMask];
+            if (slot->epoch != scratch.memoEpoch) {
+                *slot = {h, nextRow, scratch.memoEpoch};
+            } else {
+                const std::uint32_t r = slot->row;
                 const std::uint32_t first = scratch.rowShot[r];
                 if (std::ranges::equal(syn, batch.syndrome(first)) &&
                     std::ranges::equal(heralds,
@@ -312,14 +346,14 @@ decodeBatchSorted(Decoder &dec, const SyndromeBatch &batch,
                     scratch.rowOf[i] = r;
                     continue;
                 }
-                // Hash collision: decode it as its own row.  The map
-                // keeps the first claimant, so later copies of *that*
-                // key still hit; later copies of this one re-collide
-                // and re-decode — correct, just not deduplicated.
+                // Hash collision: decode it as its own row.  The
+                // table keeps the first claimant, so later copies of
+                // *that* key still hit; later copies of this one
+                // re-collide and re-decode — correct, just not
+                // deduplicated.
             }
         }
-        scratch.rowOf[i] =
-            static_cast<std::uint32_t>(scratch.rowShot.size());
+        scratch.rowOf[i] = nextRow;
         scratch.rowShot.push_back(s);
     }
 

@@ -25,7 +25,6 @@
 #include <memory>
 #include <span>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/assert.hh"
@@ -394,16 +393,19 @@ struct BatchDecodeStats
 };
 
 /**
- * Reusable scratch for decodeBatchSorted().  All vectors keep their
- * capacity warm across batches; the memo map is cleared per call (the
- * memo key space is one batch — recurring syndromes across batches
- * are re-decoded unless the process-global memo holds them, which
- * keeps the map small and the arena per-run).
+ * Reusable scratch for decodeBatchSorted().  Every buffer keeps its
+ * capacity across batches, so a warm batch decode allocates nothing.
+ * The memo's key space is one batch: its table is invalidated per
+ * call by bumping the epoch, not cleared, and recurring syndromes
+ * across batches are re-decoded unless the process-global memo
+ * holds them.
  */
 struct BatchDecodeScratch
 {
     /** Shot indices in ascending defect-count order. */
     std::vector<std::uint32_t> perm;
+    /** Counting-sort histogram: start of each defect count's run. */
+    std::vector<std::uint32_t> countStart;
     /** Decode row of each sorted position, and each row's first
      *  shot (its defects and heralds are the row's key). */
     std::vector<std::uint32_t> rowOf;
@@ -412,8 +414,18 @@ struct BatchDecodeScratch
     std::vector<std::uint32_t> rowPredicted;
     std::vector<std::uint64_t> rowFallbacks;
     std::vector<std::uint64_t> rowPeels;
-    /** (defects, heralds) hash -> row. */
-    std::unordered_map<std::uint64_t, std::uint32_t> memo;
+    /** One slot of the per-batch memo: (defects, heralds) hash ->
+     *  row, live only while its epoch is the current one. */
+    struct MemoSlot
+    {
+        std::uint64_t hash = 0;
+        std::uint32_t row = 0;
+        std::uint32_t epoch = 0;
+    };
+    /** Open-addressing memo table (power-of-two size, load <= 1/2)
+     *  and the current batch's epoch. */
+    std::vector<MemoSlot> memo;
+    std::uint32_t memoEpoch = 0;
     /** Herald reweighting: the graph's edge weights with the last
      *  heralded row's edges (heraldTouched) zeroed, and the content
      *  hash of the graph they were copied from. */
@@ -428,17 +440,20 @@ struct BatchDecodeScratch
  * batch-decode path: the Monte-Carlo engine calls it once per batch,
  * erasure-aware or not.
  *
- * Shots are stable-sorted by defect count (cheap shots first: warms
- * the decoder's arena scratch and the MWPM reach cache on the easy
- * mass of the distribution) and results are scattered back to shot
+ * Shots are ordered by defect count with a counting sort — stable,
+ * so shots of one count keep shot order — cheap shots first: that
+ * warms the decoder's arena scratch and the MWPM reach cache on the
+ * easy mass of the distribution.  Results are scattered back to shot
  * order, so out[s] is bit-identical to decoding shot s directly.
  *
  * The sorted shots collapse into decode rows.  With memo on, a row
  * is one distinct (defects, heralds) key, and shots matching an
  * earlier shot of the same batch replay that row's correction
- * instead of decoding (hash-keyed, with a full content compare on
- * hit, so a hash collision degrades to a duplicate decode, never a
- * wrong replay).  With memo off, every shot is its own row.  A clean
+ * instead of decoding.  The memo is keyed by a 64-bit content hash
+ * in an epoch-stamped open-addressing table; the first shot to
+ * claim a hash owns it, and a hit is confirmed by a full content
+ * compare, so a hash collision degrades to a duplicate decode, never
+ * a wrong replay.  With memo off, every shot is its own row.  A clean
  * row decodes through decodeSpan(); a row with fired heralds decodes
  * through decodeWithContext() under the graph's weights with every
  * edge those channels can explain zeroed (an erased qubit's Pauli is

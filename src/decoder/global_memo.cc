@@ -1,6 +1,7 @@
 #include "src/decoder/global_memo.hh"
 
 #include <algorithm>
+#include <utility>
 
 namespace traq::decoder {
 namespace {
@@ -31,26 +32,37 @@ entryHash(const DecodeSetupKey &setup,
     return h;
 }
 
-/** Exact content compare backing every hash hit. */
+/** Arena words ahead of an entry's content: the setup key's four
+ *  halves, the defect count and the herald count. */
+constexpr std::size_t kRecordHeader = 6;
+
+/** Exact compare of (setup, defects, heralds) against the record at
+ *  @p rec, backing every hash hit. */
 inline bool
-entryMatches(const GlobalDecodeMemo::Value &, const DecodeSetupKey &a,
-             std::span<const std::uint32_t> defects,
-             std::span<const std::uint32_t> heralds,
-             const DecodeSetupKey &b, std::uint32_t numDefects,
-             std::span<const std::uint32_t> content)
+recordMatches(const std::uint32_t *rec, const DecodeSetupKey &setup,
+              std::span<const std::uint32_t> defects,
+              std::span<const std::uint32_t> heralds)
 {
-    if (!(a == b))
-        return false;
-    if (content.size() != defects.size() + heralds.size() ||
-        numDefects != defects.size())
-        return false;
-    return std::equal(defects.begin(), defects.end(),
-                      content.begin()) &&
+    return rec[0] == static_cast<std::uint32_t>(setup.a) &&
+           rec[1] == static_cast<std::uint32_t>(setup.a >> 32) &&
+           rec[2] == static_cast<std::uint32_t>(setup.b) &&
+           rec[3] == static_cast<std::uint32_t>(setup.b >> 32) &&
+           rec[4] == defects.size() && rec[5] == heralds.size() &&
+           std::equal(defects.begin(), defects.end(),
+                      rec + kRecordHeader) &&
            std::equal(heralds.begin(), heralds.end(),
-                      content.begin() + defects.size());
+                      rec + kRecordHeader + defects.size());
 }
 
 } // namespace
+
+void
+GlobalDecodeMemo::Shard::dropAll()
+{
+    entries = 0;
+    arena.clear();
+    std::fill(slots.begin(), slots.end(), Slot{});
+}
 
 GlobalDecodeMemo::GlobalDecodeMemo(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity), shards_(kShards)
@@ -64,6 +76,30 @@ GlobalDecodeMemo::instance()
     return memo;
 }
 
+std::size_t
+GlobalDecodeMemo::probe(const Shard &shard, std::uint64_t h)
+{
+    // The top bits chose the shard; the low bits pick the home slot.
+    const std::size_t mask = shard.slots.size() - 1;
+    std::size_t i = h & mask;
+    while (shard.slots[i].offset != kFree && shard.slots[i].hash != h)
+        i = (i + 1) & mask;
+    return i;
+}
+
+void
+GlobalDecodeMemo::grow(Shard &shard)
+{
+    static_assert(sizeof(Slot) == 24);
+    const std::size_t size =
+        shard.slots.empty() ? 16 : 2 * shard.slots.size();
+    const std::vector<Slot> old =
+        std::exchange(shard.slots, std::vector<Slot>(size));
+    for (const Slot &slot : old)
+        if (slot.offset != kFree)
+            shard.slots[probe(shard, slot.hash)] = slot;
+}
+
 bool
 GlobalDecodeMemo::lookup(const DecodeSetupKey &setup,
                          std::span<const std::uint32_t> defects,
@@ -73,14 +109,15 @@ GlobalDecodeMemo::lookup(const DecodeSetupKey &setup,
     const std::uint64_t h = entryHash(setup, defects, heralds);
     Shard &shard = shards_[(h >> 58) % kShards];
     std::lock_guard<std::mutex> lock(shard.m);
-    auto it = shard.map.find(h);
-    if (it != shard.map.end() &&
-        entryMatches(it->second.value, setup, defects, heralds,
-                     it->second.setup, it->second.numDefects,
-                     it->second.content)) {
-        out = it->second.value;
-        ++shard.hits;
-        return true;
+    if (!shard.slots.empty()) {
+        const Slot &slot = shard.slots[probe(shard, h)];
+        if (slot.offset != kFree &&
+            recordMatches(shard.arena.data() + slot.offset, setup,
+                          defects, heralds)) {
+            out = slot.value;
+            ++shard.hits;
+            return true;
+        }
     }
     ++shard.misses;
     return false;
@@ -95,25 +132,47 @@ GlobalDecodeMemo::insert(const DecodeSetupKey &setup,
     const std::uint64_t h = entryHash(setup, defects, heralds);
     Shard &shard = shards_[(h >> 58) % kShards];
     std::lock_guard<std::mutex> lock(shard.m);
-    auto [it, inserted] = shard.map.try_emplace(h);
-    if (!inserted)
+    if (shard.slots.empty())
+        grow(shard);
+    std::size_t i = probe(shard, h);
+    if (shard.slots[i].offset != kFree)
         return; // First claimant wins (collision or racing insert).
-    if (shard.map.size() > shardCap()) {
-        // Evict an arbitrary *other* resident entry: recomputation
-        // of an identical result is the only possible consequence.
-        auto victim = shard.map.begin();
-        if (victim == it)
-            ++victim;
-        shard.map.erase(victim);
-        ++shard.evictions;
+
+    const std::size_t words =
+        kRecordHeader + defects.size() + heralds.size();
+    if (shard.entries >= shardCap() ||
+        shard.arena.size() + words >= kFree) {
+        // Full: drop the whole shard.  A flat arena cannot free one
+        // record, and any resident entry may go — recomputation of
+        // an identical result is the only possible consequence.
+        shard.evictions += shard.entries;
+        shard.dropAll();
+        i = probe(shard, h);
     }
-    Entry &e = it->second;
-    e.setup = setup;
-    e.numDefects = static_cast<std::uint32_t>(defects.size());
-    e.content.reserve(defects.size() + heralds.size());
-    e.content.assign(defects.begin(), defects.end());
-    e.content.insert(e.content.end(), heralds.begin(), heralds.end());
-    e.value = v;
+    if (4 * (shard.entries + 1) > 3 * shard.slots.size()) {
+        grow(shard);
+        i = probe(shard, h);
+    }
+
+    Slot &slot = shard.slots[i];
+    slot.hash = h;
+    slot.offset = static_cast<std::uint32_t>(shard.arena.size());
+    slot.value = v;
+    const std::uint32_t header[kRecordHeader] = {
+        static_cast<std::uint32_t>(setup.a),
+        static_cast<std::uint32_t>(setup.a >> 32),
+        static_cast<std::uint32_t>(setup.b),
+        static_cast<std::uint32_t>(setup.b >> 32),
+        static_cast<std::uint32_t>(defects.size()),
+        static_cast<std::uint32_t>(heralds.size()),
+    };
+    shard.arena.insert(shard.arena.end(), std::begin(header),
+                       std::end(header));
+    shard.arena.insert(shard.arena.end(), defects.begin(),
+                       defects.end());
+    shard.arena.insert(shard.arena.end(), heralds.begin(),
+                       heralds.end());
+    ++shard.entries;
     ++shard.inserts;
 }
 
@@ -122,7 +181,7 @@ GlobalDecodeMemo::clear()
 {
     for (Shard &shard : shards_) {
         std::lock_guard<std::mutex> lock(shard.m);
-        shard.map.clear();
+        shard.dropAll();
     }
 }
 
@@ -142,7 +201,7 @@ GlobalDecodeMemo::stats() const
         s.misses += shard.misses;
         s.inserts += shard.inserts;
         s.evictions += shard.evictions;
-        s.entries += shard.map.size();
+        s.entries += shard.entries;
     }
     return s;
 }

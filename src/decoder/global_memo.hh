@@ -2,9 +2,9 @@
  * @file
  * Process-global syndrome-keyed decode memo (caching tier 1).
  *
- * PR 8's decode memo deduplicates syndromes *within* one batch; this
- * promotes it to a process-wide cache shared across batches, shards,
- * engine runs, and sweep jobs.  Entries are keyed by a
+ * The per-batch memo of decodeBatchSorted() deduplicates syndromes
+ * *within* one batch; this tier shares results across batches,
+ * shards, engine runs, and sweep jobs.  Entries are keyed by a
  * DecodeSetupKey — a 128-bit digest of the DecodeGraph content hash
  * plus the decoder kind and every config field the decode result can
  * depend on — together with the full (defects, heralds) content, so
@@ -20,10 +20,25 @@
  * land before or after another thread's lookup) and they are
  * reported separately from the deterministic tallies.
  *
- * The cache is sharded (64 shards, striped std::mutex) and
- * capacity-bounded; on overflow a shard evicts an arbitrary resident
- * entry, which is always safe — eviction can only turn a future hit
- * into a recomputation of the identical result.
+ * Layout: 64 shards, each behind its own std::mutex and holding two
+ * flat arrays — an open-addressing table of 24-byte slots {entry
+ * hash, arena offset, Value} probed linearly, and one arena of
+ * 32-bit words holding each entry's record back to back: the setup
+ * key, the defect and herald counts, then the defects and heralds.
+ * A lookup hashes, probes and compares the record in place; an
+ * insert appends one record and fills one slot.  No entry owns an
+ * allocation: the table starts small and doubles whenever an insert
+ * would push its load past 3/4, the arena grows like a vector, and
+ * both keep their storage across clear() and overflow, so a warm
+ * memo inserts and looks up without touching the heap.
+ *
+ * Capacity and eviction: each shard holds at most capacity()/64
+ * entries (at least one).  An insert into a full shard (or one whose
+ * arena would outgrow 32-bit offsets) first drops *every* entry of
+ * that shard (evictions counts the dropped entries)
+ * — the flat arena cannot free one record — and then inserts.  That
+ * is always safe: eviction can only turn a future hit into a
+ * recomputation of the identical result.
  */
 
 #ifndef TRAQ_DECODER_GLOBAL_MEMO_HH
@@ -33,7 +48,6 @@
 #include <cstdint>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/decoder/decoder.hh"
@@ -87,21 +101,22 @@ class GlobalDecodeMemo
      * Insert a decode result.  If another thread already claimed the
      * slot (same hash), the first claimant is kept — like the
      * per-batch memo, a collision degrades to recomputation, never a
-     * wrong replay.  Evicts an arbitrary entry of the target shard
-     * when it is at capacity.
+     * wrong replay.  When the target shard is at capacity, its
+     * entries are all evicted first (see the file comment).
      */
     void insert(const DecodeSetupKey &setup,
                 std::span<const std::uint32_t> defects,
                 std::span<const std::uint32_t> heralds,
                 const Value &v);
 
-    /** Drop every entry (benches isolate measurements with this). */
+    /** Drop every entry (benches isolate measurements with this);
+     *  the shards keep their storage for the next fill. */
     void clear();
 
     /**
      * Change the total capacity (distributed over the shards; each
-     * shard holds at least one entry).  Existing overflow is evicted
-     * lazily on the next insert into a full shard.
+     * shard holds at least one entry).  A shard already past its new
+     * bound is emptied on its next insert.
      */
     void setCapacity(std::size_t entries);
 
@@ -110,26 +125,44 @@ class GlobalDecodeMemo
     Stats stats() const;
 
   private:
-    struct Entry
+    static constexpr std::uint32_t kFree = ~std::uint32_t{0};
+
+    /** One table slot: the entry's hash, where its record starts in
+     *  the shard's arena (kFree marks an empty slot), and its value.
+     *  24 bytes, so a heralded workload of mostly unique rows pays
+     *  little for the table's spare slots. */
+    struct Slot
     {
-        DecodeSetupKey setup;
-        /** defects followed by heralds (exact-compare content). */
-        std::vector<std::uint32_t> content;
-        std::uint32_t numDefects = 0;
+        std::uint64_t hash = 0;
+        std::uint32_t offset = kFree;
         Value value;
     };
 
     struct Shard
     {
         mutable std::mutex m;
-        std::unordered_map<std::uint64_t, Entry> map;
+        /** Open-addressing table; its size is 0 or a power of two. */
+        std::vector<Slot> slots;
+        /** Entry records: setup key (4 words), defect count, herald
+         *  count, defects, heralds. */
+        std::vector<std::uint32_t> arena;
+        std::uint64_t entries = 0;
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
         std::uint64_t inserts = 0;
         std::uint64_t evictions = 0;
+
+        /** Drop every entry, keeping the storage. */
+        void dropAll();
     };
 
     static constexpr std::size_t kShards = 64;
+
+    /** Index of the slot holding hash @p h, or of the free slot a
+     *  probe for it ends at; the table must be non-empty. */
+    static std::size_t probe(const Shard &shard, std::uint64_t h);
+    /** Double the table (16 slots when empty) and reinsert. */
+    static void grow(Shard &shard);
 
     std::size_t shardCap() const
     {

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
+#include <fcntl.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -99,16 +100,24 @@ Dispatcher::spawnWorker(std::size_t slot)
     // and stopping the other workers may need one.
     int inPipe[2];  // dispatcher -> child stdin
     int outPipe[2]; // child stdout -> dispatcher
+    // child -> dispatcher: execve's errno if it fails; a successful
+    // exec closes it (O_CLOEXEC), so the dispatcher reads EOF.
+    int execPipe[2];
     TRAQ_REQUIRE(::pipe(inPipe) == 0, "dispatcher: pipe() failed");
     if (::pipe(outPipe) != 0) {
         ::close(inPipe[0]);
         ::close(inPipe[1]);
         TRAQ_FATAL("dispatcher: pipe() failed");
     }
+    if (::pipe2(execPipe, O_CLOEXEC) != 0) {
+        for (int fd : {inPipe[0], inPipe[1], outPipe[0], outPipe[1]})
+            ::close(fd);
+        TRAQ_FATAL("dispatcher: pipe() failed");
+    }
 
     // Prebuild argv/envp before fork: with reader threads running,
     // the child may only touch async-signal-safe calls (dup2,
-    // close, execve, _exit).
+    // close, execve, write, _exit).
     std::vector<std::string> argStore;
     argStore.push_back(opts_.servePath);
     for (const std::string &a : opts_.workerArgs)
@@ -128,22 +137,42 @@ Dispatcher::spawnWorker(std::size_t slot)
 
     const pid_t pid = ::fork();
     if (pid < 0) {
-        for (int fd : {inPipe[0], inPipe[1], outPipe[0], outPipe[1]})
+        for (int fd : {inPipe[0], inPipe[1], outPipe[0], outPipe[1],
+                       execPipe[0], execPipe[1]})
             ::close(fd);
         TRAQ_FATAL("dispatcher: fork() failed");
     }
     if (pid == 0) {
         ::dup2(inPipe[0], 0);
         ::dup2(outPipe[1], 1);
-        ::close(inPipe[0]);
-        ::close(inPipe[1]);
-        ::close(outPipe[0]);
-        ::close(outPipe[1]);
+        for (int fd : {inPipe[0], inPipe[1], outPipe[0], outPipe[1],
+                       execPipe[0]})
+            ::close(fd);
         ::execve(argv[0], argv.data(), envp.data());
-        _exit(127); // exec failed; EOF on our pipes reports it
+        const int err = errno;
+        [[maybe_unused]] const ssize_t n =
+            ::write(execPipe[1], &err, sizeof err);
+        _exit(127);
     }
     ::close(inPipe[0]);
     ::close(outPipe[1]);
+    ::close(execPipe[1]);
+
+    // A worker that cannot start is a configuration error, reported
+    // here rather than as a worker death once requests flow.
+    int execErr = 0;
+    ssize_t got = 0;
+    do
+        got = ::read(execPipe[0], &execErr, sizeof execErr);
+    while (got < 0 && errno == EINTR);
+    ::close(execPipe[0]);
+    if (got == static_cast<ssize_t>(sizeof execErr)) {
+        ::close(inPipe[1]);
+        ::close(outPipe[0]);
+        ::waitpid(pid, nullptr, 0);
+        TRAQ_FATAL("dispatcher: cannot execute worker '" +
+                   opts_.servePath + "': " + std::strerror(execErr));
+    }
 
     Worker &w = workers_[slot];
     w.pid = pid;

@@ -33,10 +33,13 @@
  *    submitted index has been answered: an idle worker is the
  *    retry target if a still-busy one dies, and releasing it early
  *    (EOF → exit) would strand the requeue with no live shard;
- *  - fails loudly (FatalError) only when no live worker remains and
- *    unfinished jobs exist — with zero workers nothing can ever
- *    complete, and silence would hang the caller.  The message
- *    names the first protocol violation, if any.
+ *  - fails loudly (FatalError) at construction when a worker cannot
+ *    be started — an unexecutable servePath is named with its errno
+ *    text, not left to look like a worker death — and after that
+ *    only when no live worker remains and unfinished jobs exist:
+ *    with zero workers nothing can ever complete, and silence would
+ *    hang the caller.  The message names the first protocol
+ *    violation, if any.
  *
  * Because every worker runs the same deterministic estimators, the
  * merged results — reordered by global index — are byte-identical
@@ -102,6 +105,12 @@ struct DispatchResult
 class Dispatcher
 {
   public:
+    /**
+     * Spawn the workers.  Throws FatalError, after stopping the
+     * workers already started, when the descriptor limit cannot
+     * hold them, a pipe or fork fails, or a worker cannot be
+     * executed (the message names the path and the errno text).
+     */
     explicit Dispatcher(DispatcherOptions opts);
 
     /** Closes worker stdins, drains, reaps every child. */
@@ -175,6 +184,8 @@ class Dispatcher
         std::thread reader;
     };
 
+    /** Fork and exec worker @p slot; returns once the exec has
+     *  succeeded, and throws FatalError naming the errno if not. */
     void spawnWorker(std::size_t slot);
     /** Close every worker's stdin, join its reader and reap it. */
     void stopWorkers();

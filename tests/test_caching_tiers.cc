@@ -6,7 +6,9 @@
  *  - tier 1, the process-global syndrome memo (GlobalDecodeMemo):
  *    env tri-state loudness, lookup/insert content exactness,
  *    capacity eviction and concurrent fill leaving corrections and
- *    tallies bit-identical, cross-batch hits actually occurring;
+ *    tallies bit-identical, concurrent lookups and inserts under
+ *    eviction replaying only what was inserted for that content,
+ *    cross-batch hits actually occurring;
  *  - tier 2, the compiled-artifact cache (compileDecodeSetup):
  *    env loudness, hit accounting, engine results bit-identical
  *    cache on/off;
@@ -24,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -32,6 +35,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -301,6 +305,86 @@ TEST(GlobalMemo, CapacityEvictionKeepsCorrectionsBitIdentical)
     const auto st = tiny.stats();
     EXPECT_GT(st.evictions, 0u);
     EXPECT_LE(st.entries, 64u);  // one per shard at capacity 1
+}
+
+TEST(GlobalMemo, ConcurrentInsertLookupUnderEviction)
+{
+    // Four threads look up and insert overlapping keys of two setups
+    // at once, in different orders.  Whatever the interleaving —
+    // racing inserts, whole-shard evictions at capacity 64 (one
+    // entry per shard), table growth at the default capacity — a hit
+    // must return the value inserted for exactly that content, and
+    // the entries must stay within the capacity.
+    const decoder::DecodeSetupKey setups[] = {{11, 12}, {11, 13}};
+    auto keyOf = [](std::uint32_t k, std::vector<std::uint32_t> &defects,
+                    std::vector<std::uint32_t> &heralds) {
+        defects.clear();
+        heralds.clear();
+        for (std::uint32_t j = 0; j <= k % 7; ++j)
+            defects.push_back(k * 8 + j);
+        if (k % 3 == 0)
+            heralds.push_back(k % 5);
+    };
+    auto valueOf = [](std::size_t setup, std::uint32_t k) {
+        return decoder::GlobalDecodeMemo::Value{
+            k * 2654435761u ^ static_cast<std::uint32_t>(setup),
+            k % 7, static_cast<std::uint32_t>(setup)};
+    };
+    constexpr std::uint32_t kKeys = 3000;
+    constexpr std::uint32_t kStrides[] = {1, 7, 11, 13};
+    for (const std::size_t capacity :
+         {std::size_t{64}, decoder::GlobalDecodeMemo::kDefaultCapacity}) {
+        SCOPED_TRACE(capacity);
+        decoder::GlobalDecodeMemo memo(capacity);
+        std::atomic<std::uint64_t> wrong{0}, hits{0};
+        std::vector<std::thread> threads;
+        for (std::uint32_t t = 0; t < 4; ++t)
+            threads.emplace_back([&, t] {
+                std::vector<std::uint32_t> defects, heralds;
+                // Thread t walks every (setup, key) pair with its own
+                // stride (coprime to kKeys) and setup order, so the
+                // threads meet on keys at different times.
+                const std::uint32_t stride = kStrides[t];
+                for (int pass = 0; pass < 3; ++pass)
+                    for (std::uint32_t i = 0; i < kKeys; ++i)
+                        for (std::size_t j = 0; j < 2; ++j) {
+                            const std::uint32_t k =
+                                (i * stride + 97 * t) % kKeys;
+                            const std::size_t s = (j + t) % 2;
+                            keyOf(k, defects, heralds);
+                            decoder::GlobalDecodeMemo::Value v;
+                            if (!memo.lookup(setups[s], defects,
+                                             heralds, v)) {
+                                memo.insert(setups[s], defects,
+                                            heralds, valueOf(s, k));
+                                continue;
+                            }
+                            ++hits;
+                            const auto want = valueOf(s, k);
+                            if (v.predicted != want.predicted ||
+                                v.fallbacks != want.fallbacks ||
+                                v.peels != want.peels)
+                                ++wrong;
+                        }
+            });
+        for (std::thread &th : threads)
+            th.join();
+        EXPECT_EQ(wrong.load(), 0u);
+        const auto st = memo.stats();
+        EXPECT_EQ(st.hits, hits.load());
+        EXPECT_EQ(st.hits + st.misses, 4u * 3u * 2u * kKeys);
+        EXPECT_EQ(st.inserts, st.entries + st.evictions);
+        if (capacity == 64) {
+            EXPECT_LE(st.entries, 64u);
+            EXPECT_GT(st.evictions, 0u);
+        } else {
+            // Every key of both setups fits: nothing is evicted, and
+            // the later passes hit.
+            EXPECT_GT(hits.load(), 0u);
+            EXPECT_EQ(st.evictions, 0u);
+            EXPECT_EQ(st.entries, 2u * kKeys);
+        }
+    }
 }
 
 /** Engine results that must be invariant under throughput knobs. */

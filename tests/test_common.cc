@@ -168,6 +168,28 @@ TEST(Rng, BernoulliPlaneDensityAcrossWidths)
     }
 }
 
+TEST(Rng, BernoulliPlaneStreamPinned)
+{
+    // The sampled stream is part of every Monte-Carlo result.  The
+    // plane sampler keeps the last sparse probability's constant, so
+    // p changes every three planes (the constant is both reused and
+    // replaced), through the sparse (1e-3, 2e-3), per-bit (0.3) and
+    // dense (0.8) paths, at one word and at eight.
+    Rng r(20250521);
+    const double ps[] = {1e-3, 2e-3, 1e-3, 0.3, 0.8};
+    std::uint64_t words[8];
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    for (int rep = 0; rep < 100; ++rep)
+        for (std::size_t width : {std::size_t{1}, std::size_t{8}})
+            for (double p : ps)
+                for (int k = 0; k < 3; ++k) {
+                    r.bernoulliPlane(p, words, width);
+                    for (std::size_t w = 0; w < width; ++w)
+                        digest = (digest ^ words[w]) * 0x100000001b3ULL;
+                }
+    EXPECT_EQ(digest, 0xb321e9c70d89b041ULL);
+}
+
 TEST(MathHelpers, PXor)
 {
     EXPECT_DOUBLE_EQ(pXor(0.0, 0.0), 0.0);

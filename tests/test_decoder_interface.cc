@@ -2,14 +2,18 @@
  * @file
  * Tests for the polymorphic Decoder interface / factory and the
  * sharded multithreaded MonteCarloEngine: decoder parity on
- * hand-built syndromes, bit-identical results for any thread count,
- * stream-split RNG determinism, tally merging, and exact tail-shot
- * accounting.
+ * hand-built syndromes, the batch decode order, bit-identical
+ * results for any thread count, stream-split RNG determinism, tally
+ * merging, and exact tail-shot accounting.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <numeric>
+#include <set>
+#include <utility>
 
 #include "src/codes/experiments.hh"
 #include "src/common/assert.hh"
@@ -191,6 +195,161 @@ TEST(BatchDecode, CustomDecoderSeesHeraldZeroedWeights)
         EXPECT_EQ(fixed.seenWeights[ei],
                   ei == erased ? 0.0 : g.edges()[ei].weight)
             << "edge " << ei;
+}
+
+TEST(DecodeBatchSorted, DecodeOrderIsStableByDefectCount)
+{
+    // decodeBatchSorted promises one decode sequence: shots stably
+    // sorted by defect count, then (memo on) one row per distinct
+    // (defects, heralds) in first-occurrence order.  A recording
+    // decoder checks that sequence call by call against the plain
+    // std::stable_sort + dedup construction, on seeded batches full
+    // of repeats, with heralds, memo on and off, through one scratch
+    // that is reused across batch sizes and an epoch wrap.
+    constexpr int kDetectors = 24;
+    constexpr std::uint32_t kChannels = 4;
+    auto dem = chainDem(kDetectors, 0.01);
+    dem.numHeraldChannels = kChannels;
+    for (std::uint32_t c = 0; c < kChannels; ++c)
+        dem.errors[3 + 5 * c].channels = {c};
+    const DecodeGraph g =
+        DecodeGraph::fromDem(dem, chainMeta(kDetectors));
+
+    // A decode is (defects, edges whose weight the context zeroed);
+    // each channel zeroes its own edge, so that set names the
+    // heralds.
+    using Call = std::pair<std::vector<std::uint32_t>,
+                           std::vector<std::uint32_t>>;
+    struct Recorder final : Decoder
+    {
+        std::vector<Call> log;
+
+        /** A content hash of the call, to check the scatter. */
+        static std::uint32_t answer(const Call &call)
+        {
+            std::uint32_t h = 2166136261u;
+            for (std::uint32_t x : call.first)
+                h = (h ^ x) * 16777619u;
+            for (std::uint32_t x : call.second)
+                h = (h ^ (x + 1000)) * 16777619u;
+            return h;
+        }
+
+        std::uint32_t
+        decodeWithContext(std::span<const std::uint32_t> syndrome,
+                          const DecodeContext &ctx,
+                          std::vector<std::uint32_t> *) override
+        {
+            Call call{{syndrome.begin(), syndrome.end()}, {}};
+            for (std::size_t ei = 0; ei < ctx.weights.size(); ++ei)
+                if (ctx.weights[ei] == 0.0)
+                    call.second.push_back(
+                        static_cast<std::uint32_t>(ei));
+            log.push_back(call);
+            return answer(call);
+        }
+        const char *name() const override { return "recorder"; }
+    };
+    auto zeroedBy = [&](std::span<const std::uint32_t> heralds) {
+        std::vector<std::uint32_t> edges;
+        for (std::uint32_t c : heralds)
+            for (std::uint32_t ei : g.channelEdges(c))
+                edges.push_back(ei);
+        std::sort(edges.begin(), edges.end());
+        return edges;
+    };
+
+    Rng rng(20250521);
+    auto randomSet = [&](std::uint32_t count, std::uint32_t universe) {
+        std::vector<std::uint32_t> v;
+        while (v.size() < count) {
+            const auto x = static_cast<std::uint32_t>(rng.below(universe));
+            if (std::find(v.begin(), v.end(), x) == v.end())
+                v.push_back(x);
+        }
+        std::sort(v.begin(), v.end());
+        return v;
+    };
+    // A pool of (defects, heralds) keys, in pairs sharing defects
+    // and differing in heralds, drawn with repetition into each
+    // batch.
+    std::vector<Call> pool;
+    for (int k = 0; k < 60; ++k) {
+        auto defects = randomSet(
+            static_cast<std::uint32_t>(rng.below(9)), kDetectors);
+        pool.emplace_back(defects, std::vector<std::uint32_t>{});
+        pool.emplace_back(
+            defects,
+            randomSet(1 + static_cast<std::uint32_t>(rng.below(2)),
+                      kChannels));
+    }
+
+    BatchDecodeScratch scratch;
+    int round = 0;
+    for (std::uint64_t n : {512u, 4096u, 512u, 4096u}) {
+        std::vector<std::uint32_t> offsets{0}, defects;
+        std::vector<std::uint32_t> heraldOffsets{0}, heraldIds;
+        for (std::uint64_t s = 0; s < n; ++s) {
+            const auto &key = pool[rng.below(pool.size())];
+            defects.insert(defects.end(), key.first.begin(),
+                           key.first.end());
+            heraldIds.insert(heraldIds.end(), key.second.begin(),
+                             key.second.end());
+            offsets.push_back(static_cast<std::uint32_t>(defects.size()));
+            heraldOffsets.push_back(
+                static_cast<std::uint32_t>(heraldIds.size()));
+        }
+        SyndromeBatch batch;
+        batch.offsets = offsets;
+        batch.defects = defects;
+        batch.heraldOffsets = heraldOffsets;
+        batch.heraldIds = heraldIds;
+        batch.graph = &g;
+
+        std::vector<std::uint32_t> perm(n);
+        std::iota(perm.begin(), perm.end(), 0u);
+        std::stable_sort(perm.begin(), perm.end(),
+                         [&](std::uint32_t a, std::uint32_t b) {
+                             return batch.syndrome(a).size() <
+                                    batch.syndrome(b).size();
+                         });
+        for (bool memo : {true, false}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "n=" << n << " memo=" << memo
+                         << " round=" << round);
+            std::vector<Call> want;
+            std::set<Call> seen;
+            for (std::uint32_t s : perm) {
+                const auto syn = batch.syndrome(s);
+                Call call{{syn.begin(), syn.end()},
+                          zeroedBy(batch.heralds(s))};
+                if (!memo || seen.insert(call).second)
+                    want.push_back(std::move(call));
+            }
+            // The last round starts at the top of the epoch range,
+            // so its memo pass takes the wrap path (stamps cleared,
+            // epoch 1) on a table full of earlier rounds' stamps.
+            if (round == 3 && memo)
+                scratch.memoEpoch = ~std::uint32_t{0};
+            Recorder rec;
+            std::vector<std::uint32_t> out(n);
+            const BatchDecodeStats st =
+                decodeBatchSorted(rec, batch, out, scratch, memo);
+            EXPECT_EQ(rec.log, want);
+            EXPECT_EQ(st.memoHits, n - want.size());
+            if (memo) {
+                EXPECT_LT(want.size(), n / 2);
+            }
+            for (std::uint64_t s = 0; s < n; ++s) {
+                const auto syn = batch.syndrome(s);
+                ASSERT_EQ(out[s],
+                          Recorder::answer({{syn.begin(), syn.end()},
+                                            zeroedBy(batch.heralds(s))}))
+                    << "shot " << s;
+            }
+        }
+        ++round;
+    }
 }
 
 TEST(DecoderParity, AgreeOnHandBuiltSyndromes)

@@ -9,6 +9,8 @@ the report contract:
   - per-decoder decode-latency deltas,
   - the caching-tier metrics (per-batch and cross-batch memo hit
     rates, compile-cache and warm-restart speedups),
+  - the batch-decode time per shot per fixture, including a fixture
+    only the newer record has,
   - the same-run DEM build speedup per fixture, including a fixture
     only the newer record has,
   - the service-burst rates per serving mode, including a worker
@@ -84,6 +86,17 @@ class PerfHistoryDiffTest(unittest.TestCase):
         self.assertIn("compile-cache sweep speedup", out)
         self.assertRegex(out, r"mc-sweep d=5\s+4\.800 ->\s+5\.400")
         self.assertIn("warm-restart-speedup (x): 11.0 -> 12.5", out)
+
+    def test_batch_decode_ns_per_shot(self):
+        out = self.diff_output()
+        self.assertIn("batch decode, time inside decodeBatchSorted", out)
+        # 62.6 -> 25.2 is -59.7%.
+        self.assertRegex(
+            out, r"memory d=3\s+62\.600 ->\s+25\.200\s+-59\.7%"
+        )
+        self.assertRegex(out, r"memory d=5\s+280\.000 ->\s+226\.000")
+        self.assertRegex(out, r"memory d=7\s+added")
+        self.assertNotIn("batch_decode_ns_per_shot", out)
 
     def test_dem_build_speedup(self):
         out = self.diff_output()

@@ -6,16 +6,19 @@
  * tag format (wire.hh), the CaStore single-writer lock, and the
  * multi-process dispatcher (dispatcher.hh) — including N-worker
  * --ordered byte-identity, the kill-a-worker retry path, workers
- * that break the line protocol, per-worker stores and worker counts
- * past the descriptor limit.
+ * that break the line protocol, per-worker stores, worker counts
+ * past the descriptor limit and worker paths that cannot be
+ * executed.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -24,6 +27,7 @@
 #include <sys/resource.h>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "src/common/assert.hh"
@@ -669,6 +673,37 @@ TEST(Dispatcher, ProtocolViolatingWorkersFailLoudlyWithoutAborting)
             << e.what();
     }
     EXPECT_EQ(dispatcher.liveWorkers(), 0u);
+}
+
+TEST(Dispatcher, UnexecutableServePathFailsLoudly)
+{
+    // A worker binary that cannot be executed is a configuration
+    // error: the constructor must say so, naming the path and the
+    // errno text, instead of handing back a dispatcher whose workers
+    // are all dead (which looked like an empty, successful run or
+    // an anonymous "every worker is dead").  A missing file and a
+    // file without execute permission (mkstemp creates it 0600).
+    TempFile plain;
+    const std::pair<std::string, std::string> cases[] = {
+        {"/nonexistent-traq-serve", std::strerror(ENOENT)},
+        {plain.path(), std::strerror(EACCES)},
+    };
+    for (const auto &[path, reason] : cases) {
+        service::DispatcherOptions opts;
+        opts.servePath = path;
+        opts.workers = 2;
+        std::string message;
+        try {
+            service::Dispatcher dispatcher(opts);
+        } catch (const FatalError &e) {
+            message = e.what();
+        }
+        EXPECT_NE(message.find("cannot execute worker '" + path + "'"),
+                  std::string::npos)
+            << "'" << message << "'";
+        EXPECT_NE(message.find(reason), std::string::npos)
+            << "'" << message << "'";
+    }
 }
 
 TEST(Dispatcher, CacheFileGivesEachWorkerItsOwnStore)
