@@ -12,16 +12,12 @@
  * elevation of the per-round error with CNOT density at fixed d.
  *
  * Also benchmarks the frame-sampler word backends (portable 64-bit
- * vs 8-lane wide512 bit-planes, common/word.hh), the full
- * sample->extract->decode hot path (the previous generation of that
- * pipeline — baseline codegen, scalar extraction, no memo — vs the
- * current full stack of runtime CPU dispatch, transpose extraction,
- * decode memoization, the process-global syndrome memo and the MWPM
- * reach cache; the "hotpath-speedup-vs-pr7[...]" /
+ * vs 8-lane wide512 bit-planes, common/word.hh), the Monte-Carlo
+ * engine as it ships (one 1-thread MonteCarloEngine::run per memory
+ * fixture with default options: shots/s plus the
  * "decode-memo-hit-rate[...]" / "cross-batch-memo-hit-rate[...]"
- * lines record the wins, and "batch-decode-ns-per-shot[...]" the
- * time inside decodeBatchSorted), the backward-sweep DEM builder
- * against the forward reference builder on the d=7 benchmark circuits
+ * lines), the backward-sweep DEM builder against the forward
+ * reference builder on the d=7 benchmark circuits
  * ("dem-build-speedup[...]"), the compiled-artifact cache over a
  * SweepRunner seed grid ("compile-cache-speedup[...]"), and the
  * sharded engine's thread scaling; the final
@@ -81,92 +77,6 @@ samplerShotsPerSec(const traq::codes::Experiment &e, unsigned lanes,
         sim::extractSyndromeBlock(batch, live, block);
         done += batch.shots();
     }
-    return static_cast<double>(done) / secondsSince(t0);
-}
-
-/**
- * Full-stack hot-path throughput: the engine's exact per-batch work
- * (sample, block extraction, sorted + optionally memoized decode),
- * parameterized over the generations of the pipeline.  `previous`
- * reproduces the pre-dispatch shape — baseline codegen, scalar
- * two-pass extraction, no memo, no reach cache — while the default
- * runs the current stack: runtime-dispatched kernels, transpose
- * extraction, per-batch decode memoization backed by the
- * process-global syndrome memo (caching tier 1), MWPM reach cache.
- *
- * `crossBatchRate` reports the fraction of shots served without a
- * decoder call once the global tier joins in: within-batch memo
- * hits plus cross-batch global hits, over all shots.  It is >= the
- * per-batch `memoHitRate` by construction — the global tier only
- * adds hits the batch-local memo cannot see.  `batchDecodeNs` is
- * the time spent inside decodeBatchSorted per shot: sorting, both
- * memo tiers, the decodes and the scatter.
- */
-double
-fullStackShotsPerSec(const traq::codes::Experiment &e,
-                     const traq::decoder::DecodeGraph &graph,
-                     unsigned lanes, std::uint64_t shots,
-                     bool previous, double *memoHitRate = nullptr,
-                     double *crossBatchRate = nullptr,
-                     double *batchDecodeNs = nullptr)
-{
-    using namespace traq;
-    sim::FrameSimulator fs(1234, lanes,
-                           previous ? CpuDispatch::Baseline
-                                    : CpuDispatch::Auto);
-    sim::FrameBatch batch;
-    sim::SyndromeBlock block;
-    std::vector<std::uint64_t> live(lanes, ~0ULL);
-    std::vector<std::uint32_t> predicted(64ULL * lanes);
-    decoder::DecoderConfig cfg;
-    cfg.predecode = 1;
-    cfg.reachCache = previous ? 0 : 1;
-    auto dec = decoder::makeDecoder(decoder::DecoderKind::Fallback,
-                                    graph, cfg);
-    decoder::BatchDecodeScratch scratch;
-    decoder::GlobalDecodeMemo *global = nullptr;
-    decoder::DecodeSetupKey setup{};
-    if (!previous) {
-        global = &decoder::GlobalDecodeMemo::instance();
-        // Start from an empty global tier so the reported hit rates
-        // measure this run, not whatever main() decoded earlier.
-        global->clear();
-        setup = decoder::decodeSetupKey(
-            graph, decoder::DecoderKind::Fallback, cfg);
-    }
-    fs.sampleInto(e.circuit, batch);  // warm allocations
-    const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t done = 0;
-    std::uint64_t memoHits = 0;
-    std::uint64_t globalHits = 0;
-    double decodeSeconds = 0.0;
-    while (done < shots) {
-        fs.sampleInto(e.circuit, batch);
-        if (previous)
-            sim::extractSyndromeBlockScalar(batch, live, block);
-        else
-            sim::extractSyndromeBlock(batch, live, block);
-        decoder::SyndromeBatch view;
-        view.offsets = block.offsets;
-        view.defects = block.defects;
-        const auto td = std::chrono::steady_clock::now();
-        const auto st = decoder::decodeBatchSorted(
-            *dec, view, predicted, scratch, !previous, global,
-            setup);
-        decodeSeconds += secondsSince(td);
-        memoHits += st.memoHits;
-        globalHits += st.globalHits;
-        done += batch.shots();
-    }
-    if (memoHitRate)
-        *memoHitRate =
-            done ? static_cast<double>(memoHits) / done : 0.0;
-    if (crossBatchRate)
-        *crossBatchRate =
-            done ? static_cast<double>(memoHits + globalHits) / done
-                 : 0.0;
-    if (batchDecodeNs)
-        *batchDecodeNs = done ? decodeSeconds * 1e9 / done : 0.0;
     return static_cast<double>(done) / secondsSince(t0);
 }
 
@@ -250,61 +160,41 @@ main()
                     "(target >= 2x)\n", wide512Rate / scalarRate);
     }
 
-    std::printf("\n=== Hot path: sample + extract + decode, previous "
-                "generation vs current stack (p = 1e-3) ===\n\n");
+    std::printf("\n=== Engine: sample + extract + decode, 1 thread, "
+                "default options (p = 1e-3) ===\n\n");
     {
-        Table h({"config", "pipeline", "lanes", "shots/s",
-                 "speedup"});
+        Table h({"config", "lanes", "shots", "shots/s"});
         for (int d : {3, 5}) {
             codes::SurfaceCode sc(d);
             auto e = codes::buildMemory(
                 sc, 'Z', d, codes::NoiseParams::uniform(1e-3));
-            decoder::DecodeGraph graph =
-                decoder::DecodeGraph::build(e);
-            const std::uint64_t shots = d == 3 ? 1 << 17 : 1 << 16;
-            const std::string cfg =
-                "memory d=" + std::to_string(d);
-            // The generation gap: the previous pipeline shape
-            // (baseline codegen, scalar extraction, no memo, no
-            // reach cache) vs the full current stack.
-            const double prior = fullStackShotsPerSec(
-                e, graph, kWide512WordLanes, shots, true);
-            h.addRow({cfg, "prev gen (baseline+scalar extract)",
-                      std::to_string(kWide512WordLanes),
-                      fmtE(prior, 2), "1.00x"});
-            double memoHitRate = 0.0;
-            double crossBatchRate = 0.0;
-            double batchDecodeNs = 0.0;
-            const double full = fullStackShotsPerSec(
-                e, graph, kWide512WordLanes, shots, false,
-                &memoHitRate, &crossBatchRate, &batchDecodeNs);
-            h.addRow({cfg, "dispatch+transpose+memo+reach-cache",
-                      std::to_string(kWide512WordLanes),
-                      fmtE(full, 2), fmtF(full / prior, 2) + "x"});
-            // Machine-readable records of the hot-path wins (the
-            // acceptance lines; scripts/perf_smoke.sh collects
-            // them).  "hotpath-speedup-vs-pr7" is the
-            // cross-generation gate (target >= 1.5x at d=5 on
-            // AVX2-capable hardware); "cross-batch-memo-hit-rate" is
-            // the caching-tier-1 acceptance line (must be >= the
-            // per-batch "decode-memo-hit-rate" — the global tier
-            // only adds hits).
-            std::printf("hotpath-speedup-vs-pr7[memory d=%d]: "
-                        "%.2fx (dispatch+transpose+memo+reach-cache "
-                        "vs baseline+scalar-extract)\n",
-                        d, full / prior);
-            std::printf("decode-memo-hit-rate[memory d=%d]: %.3f\n",
-                        d, memoHitRate);
-            std::printf("cross-batch-memo-hit-rate[memory d=%d]: "
-                        "%.3f (per-batch %.3f + process-global "
-                        "tier)\n",
-                        d, crossBatchRate, memoHitRate);
-            // The memo-replay stage on its own: sort, both memo
-            // tiers, decodes and scatter (recorded, never gated).
-            std::printf("batch-decode-ns-per-shot[memory d=%d]: %.1f "
-                        "ns/shot (decodeBatchSorted, per-batch + "
-                        "process-global memo)\n",
-                        d, batchDecodeNs);
+            decoder::McOptions mc;
+            mc.shots = d == 3 ? 1 << 17 : 1 << 16;
+            mc.threads = 1;
+            // Graph construction stays outside the timed window.
+            decoder::MonteCarloEngine engine(e, mc);
+            // Start from an empty global tier so the hit rates measure
+            // this run, not whatever main() decoded earlier.
+            decoder::GlobalDecodeMemo::instance().clear();
+            const auto t0 = std::chrono::steady_clock::now();
+            const auto res = engine.run(mc);
+            const double rate =
+                static_cast<double>(res.shots) / secondsSince(t0);
+            const std::string cfg = "memory d=" + std::to_string(d);
+            h.addRow({cfg, std::to_string(res.wordLanes),
+                      std::to_string(res.shots), fmtE(rate, 2)});
+            // "cross-batch-memo-hit-rate" counts the shots served
+            // without a decoder call once the process-global tier
+            // joins in, so it is >= the per-batch rate.
+            const double shots = static_cast<double>(res.shots);
+            const double memoRate = res.memoHits / shots;
+            std::printf("decode-memo-hit-rate[%s]: %.3f\n", cfg.c_str(),
+                        memoRate);
+            std::printf("cross-batch-memo-hit-rate[%s]: %.3f (per-batch "
+                        "%.3f + process-global tier)\n",
+                        cfg.c_str(),
+                        (res.memoHits + res.crossBatchHits) / shots,
+                        memoRate);
         }
         std::printf("\n");
         h.print();

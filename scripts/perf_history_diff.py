@@ -6,12 +6,10 @@ bench, thread-scaling efficiency, per-decoder decode latency).  This
 tool takes two or more such documents -- given as files and/or
 directories to scan for ``*.json`` -- sorts them by their ``date``
 field, and reports what moved between the two most recent records:
-per-bench elapsed deltas, per-decoder decode-latency deltas,
-per-fixture hot-path speedup (vs the PR-7 generation), the
+per-bench elapsed deltas, per-decoder decode-latency deltas, the
 caching-tier metrics (per-batch and cross-batch decode-memo hit
 rates, compile-cache sweep speedup, persistent-store warm-restart
-speedup), the time inside decodeBatchSorted per shot (memo replay),
-the DEM build speedup (backward sweep vs the forward
+speedup), the DEM build speedup (backward sweep vs the forward
 reference builder, timed in the same run), the service-burst rates
 (traq_serve and traq_dispatch with 1/2/4 workers), and the CPU dispatch
 level each run executed at (a dispatch change explains most
@@ -92,13 +90,8 @@ KNOWN_KEYS = {
     "margin",
     "parallel_efficiency_at_4",
     "cpu_dispatch",
-    # Only in records from builds that still had compile-time codegen
-    # options; kept so diffs against them stay clean.
-    "word_backend_compiled",
-    "hotpath_speedup_vs_pr7",
     "decode_memo_hit_rate",
     "cross_batch_memo_hit_rate",
-    "batch_decode_ns_per_shot",
     "compile_cache_speedup",
     "dem_build_speedup",
     "warm_restart_speedup",
@@ -108,6 +101,12 @@ KNOWN_KEYS = {
     "benches",
     "decode_latency_us_per_round",
     "_source",
+    # Only in older records, kept so diffs against them stay clean:
+    # the compile-time codegen option, and two metrics of a copy of
+    # the engine's hot loop that bench_sim_montecarlo no longer runs.
+    "word_backend_compiled",
+    "hotpath_speedup_vs_pr7",
+    "batch_decode_ns_per_shot",
 }
 
 
@@ -174,17 +173,11 @@ def print_diff(base: dict, head: dict) -> None:
                 )
 
     print_fixture_diff(
-        base, head, "hotpath_speedup_vs_pr7", "speedup",
-        "hot-path speedup vs PR-7 generation (x)")
-    print_fixture_diff(
         base, head, "decode_memo_hit_rate", "hit_rate",
         "decode-memo hit rate (per-batch)")
     print_fixture_diff(
         base, head, "cross_batch_memo_hit_rate", "hit_rate",
         "cross-batch memo hit rate (process-global tier)")
-    print_fixture_diff(
-        base, head, "batch_decode_ns_per_shot", "ns_per_shot",
-        "batch decode, time inside decodeBatchSorted (ns/shot)")
     print_fixture_diff(
         base, head, "compile_cache_speedup", "speedup",
         "compile-cache sweep speedup (x)")

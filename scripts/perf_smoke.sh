@@ -15,24 +15,19 @@
 # traq_serve and through traq_dispatch with 1, 2 and 4 workers
 # ("service-burst[...]": req/s and CPU us per request); those lines
 # WARN, never FAIL, since the runner's core count decides how far
-# the dispatcher scales.  The memo-replay stage is recorded the same
-# way: bench_sim_montecarlo's "batch-decode-ns-per-shot[...]" lines
-# (time inside decodeBatchSorted per shot, both memo tiers on) are
-# printed and kept, and only their absence WARNs.
+# the dispatcher scales.
 #
 # Usage: scripts/perf_smoke.sh [build-dir]
 #
 # When PERF_HISTORY_JSON is set (CI does this), a machine-readable
 # record of the run — per-bench wall clock vs baseline, the
 # thread-scaling efficiency, the CPU dispatch level the kernels ran
-# at, the end-to-end hot-path speedup vs the PR-7 generation
-# (baseline kernels + scalar extract, no memo/reach-cache), the
-# per-batch and cross-batch (process-global tier) decode-memo hit
-# rates, the batch-decode time per shot, the compiled-artifact cache
-# speedup and the DEM build speedup from bench_sim_montecarlo, the
-# persistent-store warm-restart speedup from
-# bench_service_throughput, the per-decoder decode-latency lines from
-# bench_decoder_throughput and the service-burst rates — is written
+# at, the per-batch and cross-batch (process-global tier)
+# decode-memo hit rates of the engine's 1-thread runs, the
+# compiled-artifact cache speedup and the DEM build speedup from
+# bench_sim_montecarlo, the persistent-store warm-restart speedup
+# from bench_service_throughput, the per-decoder decode-latency lines
+# from bench_decoder_throughput and the service-burst rates — is written
 # there as one JSON document; CI uploads it as a dated perf-history
 # artifact so regressions can be traced across commits, not just
 # against the static baseline.
@@ -58,12 +53,8 @@ efficiency=""
 bench_json=""
 latency_json=""
 dispatch_runtime=""
-speedup_json=""
-speedup_lines=""
 memo_json=""
 cross_memo_json=""
-batch_decode_json=""
-batch_decode_lines=""
 compile_cache_json=""
 dem_speedup_json=""
 dem_speedups=""
@@ -113,11 +104,6 @@ while read -r name baseline; do
         # cpu-dispatch: <level>
         dispatch_runtime=$(awk '/^cpu-dispatch:/ { print $2; exit }' \
             "$outfile")
-        # hotpath-speedup-vs-pr7[<fixture>]: <X.XX>x (...)
-        speedup_json=$(awk -F'[][]' '/^hotpath-speedup-vs-pr7\[/ {
-            split($3, f, " "); sub(/x$/, "", f[2]);
-            printf "%s{\"fixture\": \"%s\", \"speedup\": %s}",
-                (n++ ? ", " : ""), $2, f[2] }' "$outfile")
         # decode-memo-hit-rate[<fixture>]: <rate>
         memo_json=$(awk -F'[][]' '/^decode-memo-hit-rate\[/ {
             split($3, f, " ");
@@ -129,16 +115,6 @@ while read -r name baseline; do
             split($3, f, " ");
             printf "%s{\"fixture\": \"%s\", \"hit_rate\": %s}",
                 (n++ ? ", " : ""), $2, f[2] }' "$outfile")
-        # batch-decode-ns-per-shot[<fixture>]: <ns> ns/shot (...)
-        batch_decode_json=$(awk -F'[][]' \
-            '/^batch-decode-ns-per-shot\[/ {
-            split($3, f, " ");
-            printf "%s{\"fixture\": \"%s\", \"ns_per_shot\": %s}",
-                (n++ ? ", " : ""), $2, f[2] }' "$outfile")
-        batch_decode_lines=$(awk -F'[][]' \
-            '/^batch-decode-ns-per-shot\[/ { split($3, f, " ");
-            printf "perf-smoke: OK   batch-decode-ns-per-shot[%s] =\
- %s ns/shot\n", $2, f[2] }' "$outfile")
         # compile-cache-speedup[<fixture>]: <X.XX>x (...)
         compile_cache_json=$(awk -F'[][]' \
             '/^compile-cache-speedup\[/ {
@@ -154,10 +130,6 @@ while read -r name baseline; do
         dem_speedups=$(awk -F'[][]' '/^dem-build-speedup\[/ {
             split($3, f, " "); sub(/x$/, "", f[2]);
             printf "%s %s\n", f[2], $2 }' "$outfile")
-        speedup_lines=$(awk -F'[][]' \
-            '/^hotpath-speedup-vs-pr7\[/ { split($3, f, " ");
-            printf "perf-smoke: OK   hotpath-speedup-vs-pr7[%s] =\
- %s\n", $2, f[2] }' "$outfile")
     fi
     if [[ "$name" == "bench_service_throughput" ]]; then
         # warm-restart-speedup: <X.X>x (...)
@@ -198,17 +170,14 @@ else
          "bench_sim_montecarlo"
 fi
 
-# Runtime dispatch level and the end-to-end hot-path win vs the PR-7
-# generation (informational: the binary is the same either way, so a
-# baseline-only CI runner legitimately prints "baseline").
+# Runtime dispatch level (informational: the binary is the same
+# either way, so a baseline-only CI runner legitimately prints
+# "baseline").
 if [[ -n "$dispatch_runtime" ]]; then
     echo "perf-smoke: OK   cpu-dispatch = $dispatch_runtime"
 else
     echo "perf-smoke: WARN no cpu-dispatch line from" \
          "bench_sim_montecarlo"
-fi
-if [[ -n "$speedup_lines" ]]; then
-    echo "$speedup_lines"
 fi
 
 # DEM build: backward sweep vs the forward reference, same run.
@@ -228,15 +197,6 @@ else
     echo "perf-smoke: FAIL no dem-build-speedup lines from" \
          "bench_sim_montecarlo" >&2
     fail=1
-fi
-
-# Memo replay (informational): time inside decodeBatchSorted per
-# shot on the hot-path fixtures, both memo tiers on.
-if [[ -n "$batch_decode_lines" ]]; then
-    echo "$batch_decode_lines"
-else
-    echo "perf-smoke: WARN no batch-decode-ns-per-shot lines from" \
-         "bench_sim_montecarlo"
 fi
 
 # Caching tiers (informational; the hard gates are the bench-level
@@ -341,10 +301,8 @@ if [[ -n "${PERF_HISTORY_JSON:-}" ]]; then
         else
             echo "  \"cpu_dispatch\": null,"
         fi
-        echo "  \"hotpath_speedup_vs_pr7\": [$speedup_json],"
         echo "  \"decode_memo_hit_rate\": [$memo_json],"
         echo "  \"cross_batch_memo_hit_rate\": [$cross_memo_json],"
-        echo "  \"batch_decode_ns_per_shot\": [$batch_decode_json],"
         echo "  \"compile_cache_speedup\": [$compile_cache_json],"
         echo "  \"dem_build_speedup\": [$dem_speedup_json],"
         echo "  \"warm_restart_speedup\": ${warm_restart:-null},"

@@ -97,14 +97,19 @@ Dispatcher::spawnWorker(std::size_t slot)
 {
     // Each failure below closes the descriptors taken so far: it
     // typically means the table is full, and reporting the failure
-    // and stopping the other workers may need one.
+    // and stopping the other workers may need one.  Every pipe is
+    // close-on-exec, so a later worker inherits none of the earlier
+    // workers' pipes (one would keep their stdin from reaching EOF
+    // until it exits); the child's dup2 onto fd 0/1 clears the flag
+    // on the copies it keeps.
     int inPipe[2];  // dispatcher -> child stdin
     int outPipe[2]; // child stdout -> dispatcher
     // child -> dispatcher: execve's errno if it fails; a successful
-    // exec closes it (O_CLOEXEC), so the dispatcher reads EOF.
+    // exec closes it, so the dispatcher reads EOF.
     int execPipe[2];
-    TRAQ_REQUIRE(::pipe(inPipe) == 0, "dispatcher: pipe() failed");
-    if (::pipe(outPipe) != 0) {
+    TRAQ_REQUIRE(::pipe2(inPipe, O_CLOEXEC) == 0,
+                 "dispatcher: pipe() failed");
+    if (::pipe2(outPipe, O_CLOEXEC) != 0) {
         ::close(inPipe[0]);
         ::close(inPipe[1]);
         TRAQ_FATAL("dispatcher: pipe() failed");
@@ -117,7 +122,7 @@ Dispatcher::spawnWorker(std::size_t slot)
 
     // Prebuild argv/envp before fork: with reader threads running,
     // the child may only touch async-signal-safe calls (dup2,
-    // close, execve, write, _exit).
+    // fcntl, execve, write, _exit).
     std::vector<std::string> argStore;
     argStore.push_back(opts_.servePath);
     for (const std::string &a : opts_.workerArgs)
@@ -143,11 +148,13 @@ Dispatcher::spawnWorker(std::size_t slot)
         TRAQ_FATAL("dispatcher: fork() failed");
     }
     if (pid == 0) {
-        ::dup2(inPipe[0], 0);
+        // With fd 0 closed in the dispatcher, pipe2 hands it out as
+        // inPipe[0], and dup2 onto itself would keep FD_CLOEXEC.
+        if (inPipe[0] == 0)
+            ::fcntl(0, F_SETFD, 0);
+        else
+            ::dup2(inPipe[0], 0);
         ::dup2(outPipe[1], 1);
-        for (int fd : {inPipe[0], inPipe[1], outPipe[0], outPipe[1],
-                       execPipe[0]})
-            ::close(fd);
         ::execve(argv[0], argv.data(), envp.data());
         const int err = errno;
         [[maybe_unused]] const ssize_t n =
@@ -325,7 +332,7 @@ Dispatcher::sendToWorker(std::size_t slot, Job job,
     // stall acknowledgement processing (that would deadlock against
     // a busy worker).  The unacked entry is registered first, so
     // the ack cannot race past the bookkeeping; the writing flag
-    // keeps this worker out of every selection loop while the lock
+    // keeps pickWorker() from choosing this worker while the lock
     // is down, so local indices are assigned in the exact order
     // lines reach the pipe, and keeps closeStdin() from closing
     // the fd under this write.
@@ -348,6 +355,21 @@ Dispatcher::sendToWorker(std::size_t slot, Job job,
     return ok;
 }
 
+std::size_t
+Dispatcher::pickWorker()
+{
+    for (std::size_t probe = 0; probe < workers_.size(); ++probe) {
+        const std::size_t slot = (rrNext_ + probe) % workers_.size();
+        const Worker &w = workers_[slot];
+        if (w.alive && w.stdinOpen && !w.writing &&
+            w.unacked.size() < inflightBound_) {
+            rrNext_ = (slot + 1) % workers_.size();
+            return slot;
+        }
+    }
+    return workers_.size();
+}
+
 void
 Dispatcher::pumpRequeued(std::unique_lock<std::mutex> &lock)
 {
@@ -357,21 +379,9 @@ Dispatcher::pumpRequeued(std::unique_lock<std::mutex> &lock)
             requeued_.pop_front();
             continue; // late ack beat the retry
         }
-        std::size_t slot = workers_.size();
-        for (std::size_t probe = 0; probe < workers_.size();
-             ++probe) {
-            const std::size_t s =
-                (rrNext_ + probe) % workers_.size();
-            if (workers_[s].alive && workers_[s].stdinOpen &&
-                !workers_[s].writing &&
-                workers_[s].unacked.size() < inflightBound_) {
-                slot = s;
-                break;
-            }
-        }
+        const std::size_t slot = pickWorker();
         if (slot == workers_.size())
             return; // no capacity now; retried on the next wake
-        rrNext_ = (slot + 1) % workers_.size();
         requeued_.pop_front();
         sendToWorker(slot, job, lock);
     }
@@ -388,20 +398,8 @@ Dispatcher::submit(std::size_t index, const std::string &line)
     Job job{index, line};
     while (true) {
         pumpRequeued(lock);
-        std::size_t slot = workers_.size();
-        for (std::size_t probe = 0; probe < workers_.size();
-             ++probe) {
-            const std::size_t s =
-                (rrNext_ + probe) % workers_.size();
-            if (workers_[s].alive && workers_[s].stdinOpen &&
-                !workers_[s].writing &&
-                workers_[s].unacked.size() < inflightBound_) {
-                slot = s;
-                break;
-            }
-        }
+        const std::size_t slot = pickWorker();
         if (slot < workers_.size()) {
-            rrNext_ = (slot + 1) % workers_.size();
             // Success or failure, this call is done with the job:
             // on success it is inflight; on failure the worker's
             // death requeued it (the unacked entry predates the

@@ -169,12 +169,12 @@ class Dispatcher
         bool alive = false;
         bool stdinOpen = false; //!< accepts new sends (logical)
         /** A send is mid-write on stdinFd with the lock dropped.
-         *  While set, the worker is skipped by every selection
-         *  loop (serialises writes so local-index assignment order
-         *  matches pipe arrival order) and stdinFd must not be
-         *  closed by another thread (closing an fd under a
-         *  concurrent ::write races fd reuse) — closeStdin()
-         *  defers the ::close to sendToWorker(). */
+         *  While set, pickWorker() skips the worker (serialises
+         *  writes so local-index assignment order matches pipe
+         *  arrival order) and stdinFd must not be closed by
+         *  another thread (closing an fd under a concurrent
+         *  ::write races fd reuse) — closeStdin() defers the
+         *  ::close to sendToWorker(). */
         bool writing = false;
         std::size_t nextLocal = 0; //!< next local index to assign
         /** Local index -> job; erased on acknowledgement.  Kept
@@ -204,6 +204,11 @@ class Dispatcher
      *  pipe broke. */
     bool sendToWorker(std::size_t slot, Job job,
                       std::unique_lock<std::mutex> &lock);
+    /** The next worker in round-robin order that can take a line
+     *  now — live, stdin open, no write in flight, under the
+     *  inflight bound — with the cursor moved past it;
+     *  workers_.size() when none can (lock held). */
+    std::size_t pickWorker();
     void pumpRequeued(std::unique_lock<std::mutex> &lock);
     /** Throw the no-live-worker FatalError, naming the first
      *  protocol violation if any (lock held). */

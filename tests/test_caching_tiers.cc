@@ -412,6 +412,9 @@ TEST(Engine, GlobalMemoThreadInvarianceAndCrossBatchHits)
     opts.shots = 6000;
     opts.seed = 77;
     opts.predecode = 1;
+    // The global tier rides on the per-batch memo: pinned on, so the
+    // cross-batch hits below do not depend on TRAQ_DECODE_MEMO.
+    opts.decodeMemo = 1;
     opts.threads = 1;
     opts.globalMemo = 0;
 
@@ -452,6 +455,7 @@ TEST(Engine, GlobalMemoInvarianceErasurePath)
     decoder::McOptions opts;
     opts.shots = 4096;
     opts.seed = 31;
+    opts.decodeMemo = 1; // the global tier needs it (see above)
     opts.threads = 1;
     opts.noiseSpec.setFlat("noise.atom-loss.p", 0.01);
     ASSERT_TRUE(opts.erasureAware);

@@ -4,15 +4,19 @@
  * registry round-trips, parameter application against the original
  * free-function entry points, sweep determinism across thread
  * counts, memoization accounting, serialization round-trips, the
- * shared TRAQ_THREADS policy, and the retained optimizer frontier.
+ * shared TRAQ_THREADS policy, the retained optimizer frontier, and
+ * the README's parameter and environment-variable tables.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -259,6 +263,56 @@ TEST(ParamReference, ReadmeRowsListEveryAcceptedName)
             expectDocumented(source, e.what());
         }
     }
+}
+
+/** Every "TRAQ_..." string literal in the files under @p dir. */
+std::set<std::string>
+envLiterals(const std::string &dir)
+{
+    std::set<std::string> names;
+    for (const auto &entry :
+         std::filesystem::recursive_directory_iterator(dir)) {
+        if (!entry.is_regular_file())
+            continue;
+        std::ifstream in(entry.path());
+        const std::string text(std::istreambuf_iterator<char>(in), {});
+        for (std::size_t at = text.find("\"TRAQ_");
+             at != std::string::npos; at = text.find("\"TRAQ_", at + 1)) {
+            std::size_t end = at + 1;
+            while (end < text.size() &&
+                   (std::isupper(static_cast<unsigned char>(text[end])) ||
+                    std::isdigit(static_cast<unsigned char>(text[end])) ||
+                    text[end] == '_'))
+                ++end;
+            names.insert(text.substr(at + 1, end - at - 1));
+        }
+    }
+    return names;
+}
+
+TEST(EnvReference, ReadmeRowsMatchVariablesTheCodeReads)
+{
+    std::set<std::string> read;
+    for (const char *dir : {"/src", "/examples"})
+        read.merge(envLiterals(std::string(TRAQ_SOURCE_DIR) + dir));
+    EXPECT_FALSE(read.empty());
+    for (const std::string &name : read)
+        EXPECT_FALSE(readmeRow(name).empty())
+            << "README.md has no env-table row for " << name;
+    std::ifstream in(std::string(TRAQ_SOURCE_DIR) + "/README.md");
+    const std::string prefix = "| `TRAQ_";
+    std::size_t rows = 0;
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind(prefix, 0) != 0)
+            continue;
+        ++rows;
+        const std::string name =
+            line.substr(3, line.find('`', 3) - 3);
+        EXPECT_TRUE(read.count(name))
+            << "README.md documents " << name
+            << ", which no code under src/ or examples/ reads";
+    }
+    EXPECT_EQ(rows, read.size());
 }
 
 TEST(EstimatorApi, CanonicalKeyDistinguishesRequests)

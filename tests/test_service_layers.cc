@@ -7,8 +7,9 @@
  * multi-process dispatcher (dispatcher.hh) — including N-worker
  * --ordered byte-identity, the kill-a-worker retry path, workers
  * that break the line protocol, per-worker stores, worker counts
- * past the descriptor limit and worker paths that cannot be
- * executed.
+ * past the descriptor limit, worker paths that cannot be executed,
+ * workers holding no pipe but their own and a dispatcher started
+ * with stdin closed.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,8 @@
 #include <condition_variable>
 #include <csignal>
 #include <cstring>
+#include <fcntl.h>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -732,6 +735,95 @@ TEST(Dispatcher, CacheFileGivesEachWorkerItsOwnStore)
     }
     EXPECT_NE(access(inherited.c_str(), F_OK), 0);
     std::remove(inherited.c_str());
+}
+
+/** Link targets of a process's open descriptors, by number. */
+std::map<int, std::string>
+openFds(pid_t pid)
+{
+    std::map<int, std::string> fds;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             "/proc/" + std::to_string(pid) + "/fd")) {
+        char buf[256];
+        const ssize_t n =
+            readlink(entry.path().c_str(), buf, sizeof buf);
+        if (n > 0)
+            fds[std::stoi(entry.path().filename())] =
+                std::string(buf, static_cast<std::size_t>(n));
+    }
+    return fds;
+}
+
+TEST(Dispatcher, WorkersDoNotInheritEachOthersPipes)
+{
+    // A worker holding an earlier worker's pipe ends keeps that
+    // worker's stdin from reaching EOF until it exits itself.  Both
+    // ends of a pipe link to the same "pipe:[inode]", so no worker
+    // may hold a pipe that another worker has as fd 0 or 1.
+    service::DispatcherOptions opts;
+    opts.servePath = buildSibling("traq_serve");
+    opts.workers = 3;
+    service::Dispatcher dispatcher(opts);
+    const std::vector<pid_t> pids = dispatcher.workerPids();
+    ASSERT_EQ(pids.size(), 3u);
+    std::vector<std::map<int, std::string>> fds;
+    std::map<std::string, std::size_t> stdioOwner;
+    for (std::size_t k = 0; k < pids.size(); ++k) {
+        ASSERT_GT(pids[k], 0);
+        fds.push_back(openFds(pids[k]));
+        for (const int fd : {0, 1}) {
+            const std::string &link = fds[k][fd];
+            ASSERT_EQ(link.rfind("pipe:", 0), 0u)
+                << "worker " << k << " fd " << fd << ": " << link;
+            stdioOwner.emplace(link, k);
+        }
+    }
+    for (std::size_t k = 0; k < fds.size(); ++k)
+        for (const auto &[fd, link] : fds[k]) {
+            const auto it = stdioOwner.find(link);
+            if (it != stdioOwner.end())
+                EXPECT_EQ(it->second, k)
+                    << "worker " << k << " fd " << fd << " holds "
+                    << link << ", a stdio pipe of worker "
+                    << it->second;
+        }
+}
+
+TEST(Dispatcher, ServesFromAProcessWithStdinClosed)
+{
+    // With fd 0 closed here, the worker's stdin pipe is created as
+    // fd 0 itself, and the child must still keep it across exec.
+    const int saved = fcntl(0, F_DUPFD_CLOEXEC, 3);
+    struct Restore
+    {
+        int fd;
+        ~Restore()
+        {
+            if (fd >= 0) {
+                dup2(fd, 0);
+                close(fd);
+            }
+        }
+    } restore{saved};
+    close(0);
+    service::DispatcherOptions opts;
+    opts.servePath = buildSibling("traq_serve");
+    opts.workers = 1;
+    const auto fixture = dispatchFixture();
+    std::map<std::size_t, std::string> got;
+    try {
+        service::Dispatcher dispatcher(opts);
+        for (std::size_t i = 0; i < fixture.size(); ++i)
+            dispatcher.submit(i, fixture[i].first);
+        dispatcher.closeSubmissions();
+        while (const auto r = dispatcher.waitResult())
+            got.emplace(r->index, r->payload);
+    } catch (const FatalError &e) {
+        ADD_FAILURE() << e.what();
+    }
+    ASSERT_EQ(got.size(), fixture.size());
+    for (std::size_t i = 0; i < fixture.size(); ++i)
+        EXPECT_EQ(got.at(i), fixture[i].second) << i;
 }
 
 TEST(Dispatcher, RejectsWorkerCountsPastTheDescriptorLimit)
