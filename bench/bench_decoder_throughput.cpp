@@ -46,7 +46,6 @@
 #include "src/codes/experiments.hh"
 #include "src/common/assert.hh"
 #include "src/common/table.hh"
-#include "src/common/word.hh"
 #include "src/decoder/compile_cache.hh"
 #include "src/decoder/decoder.hh"
 #include "src/noise/noise.hh"
@@ -261,10 +260,6 @@ main()
     using namespace traq;
     std::printf("=== Decoder throughput: all registered kinds, "
                 "p = 1e-3 ===\n\n");
-    // Dispatch level the sampler kernels run at while pre-sampling
-    // the fixtures (decoders themselves are scalar code).
-    std::printf("cpu-dispatch: %s\n\n",
-                cpuDispatchName(resolveCpuDispatch(CpuDispatch::Auto)));
 
     std::vector<Fixture> fixtures;
     fixtures.emplace_back("memory d=3", Fixture::makeMemory(3), 512);

@@ -134,10 +134,6 @@ main()
                 "(1 + alpha x); total error still drops with x "
                 "below threshold)\n");
 
-    // The level the kernels actually run at (cpuid / env).
-    std::printf("\ncpu-dispatch: %s\n",
-                cpuDispatchName(resolveCpuDispatch(CpuDispatch::Auto)));
-
     std::printf("\n=== Sampler word backends: d=5 memory, "
                 "sample+extract (no decode) ===\n\n");
     {

@@ -10,14 +10,13 @@ per-bench elapsed deltas, per-decoder decode-latency deltas, the
 caching-tier metrics (per-batch and cross-batch decode-memo hit
 rates, compile-cache sweep speedup, persistent-store warm-restart
 speedup), the DEM build speedup (backward sweep vs the forward
-reference builder, timed in the same run), the service-burst rates
-(traq_serve and traq_dispatch with 1/2/4 workers), and the CPU dispatch
-level each run executed at (a dispatch change explains most
-wall-clock moves, so it is printed before the numbers).  Top-level
-keys this tool does not recognize are listed explicitly rather than
-silently dropped, so a perf_smoke.sh that starts recording something
-new is visible here the day it lands, not when someone updates this
-script.
+reference builder, timed in the same run) and the service-burst
+rates (traq_serve and traq_dispatch with 1/2/4 workers).  A scalar
+or list entry only one record has prints as ``added`` or
+``removed``.  Top-level keys this tool does not recognize are listed
+explicitly rather than silently dropped, so a perf_smoke.sh that
+starts recording something new is visible here the day it lands,
+not when someone updates this script.
 
 It is a report, not a gate: the exit code is always 0 unless the
 inputs cannot be parsed.  The hard tripwires stay in perf_smoke.sh
@@ -89,7 +88,6 @@ KNOWN_KEYS = {
     "commit",
     "margin",
     "parallel_efficiency_at_4",
-    "cpu_dispatch",
     "decode_memo_hit_rate",
     "cross_batch_memo_hit_rate",
     "compile_cache_speedup",
@@ -102,9 +100,11 @@ KNOWN_KEYS = {
     "decode_latency_us_per_round",
     "_source",
     # Only in older records, kept so diffs against them stay clean:
-    # the compile-time codegen option, and two metrics of a copy of
+    # the compile-time codegen option, the runtime CPU dispatch level
+    # the frame kernels no longer have, and two metrics of a copy of
     # the engine's hot loop that bench_sim_montecarlo no longer runs.
     "word_backend_compiled",
+    "cpu_dispatch",
     "hotpath_speedup_vs_pr7",
     "batch_decode_ns_per_shot",
 }
@@ -114,6 +114,19 @@ def by_fixture(record: dict, key: str, field: str) -> dict[str, float]:
     return {
         e["fixture"]: float(e[field]) for e in record.get(key, [])
     }
+
+
+def print_scalar_diff(base: dict, head: dict, key: str, label: str) -> None:
+    """One ``label: base -> head`` line, or ``added`` / ``removed``
+    when only one record carries the key; nothing when neither does
+    (a JSON null counts as absent)."""
+    b, h = base.get(key), head.get(key)
+    if b is None and h is None:
+        return
+    if b is None or h is None:
+        print(f"{label}: {'added' if b is None else 'removed'}")
+    else:
+        print(f"{label}: {b} -> {h}")
 
 
 def print_fixture_diff(
@@ -139,14 +152,6 @@ def print_diff(base: dict, head: dict) -> None:
         f"({base.get('commit', '?')[:12]}) -> "
         f"{head.get('date', '?')} ({head.get('commit', '?')[:12]})"
     )
-
-    # Dispatch level first: a runner-class change (avx512 box vs
-    # baseline box) explains most wall-clock movement below.
-    disp_b = base.get("cpu_dispatch")
-    disp_h = head.get("cpu_dispatch")
-    if disp_b is not None or disp_h is not None:
-        marker = "" if disp_b == disp_h else "  <- CHANGED"
-        print(f"\ncpu-dispatch: {disp_b} -> {disp_h}{marker}")
 
     base_b, head_b = by_bench(base), by_bench(head)
     print("\nbench wall clock (s):")
@@ -188,25 +193,14 @@ def print_diff(base: dict, head: dict) -> None:
         base, head, "service_burst_req_per_s", "req_per_s",
         "service burst, traq_serve and traq_dispatch (req/s)")
 
-    eff_b = base.get("parallel_efficiency_at_4")
-    eff_h = head.get("parallel_efficiency_at_4")
-    if eff_b is not None and eff_h is not None:
-        print(f"\nparallel-efficiency@4: {eff_b} -> {eff_h}")
-
-    wr_b = base.get("warm_restart_speedup")
-    wr_h = head.get("warm_restart_speedup")
-    if wr_b is not None or wr_h is not None:
-        print(f"\nwarm-restart-speedup (x): {wr_b} -> {wr_h}")
-
-    # Streaming service tier (absent from records predating it).
-    sr_b = base.get("stream_req_per_s")
-    sr_h = head.get("stream_req_per_s")
-    if sr_b is not None or sr_h is not None:
-        print(f"\nstream-throughput (req/s): {sr_b} -> {sr_h}")
-    sf_b = base.get("stream_first_result_ms")
-    sf_h = head.get("stream_first_result_ms")
-    if sf_b is not None or sf_h is not None:
-        print(f"stream-first-result (ms): {sf_b} -> {sf_h}")
+    print()
+    for key, label in (
+        ("parallel_efficiency_at_4", "parallel-efficiency@4"),
+        ("warm_restart_speedup", "warm-restart-speedup (x)"),
+        ("stream_req_per_s", "stream-throughput (req/s)"),
+        ("stream_first_result_ms", "stream-first-result (ms)"),
+    ):
+        print_scalar_diff(base, head, key, label)
 
     unknown = sorted((set(base) | set(head)) - KNOWN_KEYS)
     if unknown:

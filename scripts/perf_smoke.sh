@@ -21,16 +21,15 @@
 #
 # When PERF_HISTORY_JSON is set (CI does this), a machine-readable
 # record of the run — per-bench wall clock vs baseline, the
-# thread-scaling efficiency, the CPU dispatch level the kernels ran
-# at, the per-batch and cross-batch (process-global tier)
-# decode-memo hit rates of the engine's 1-thread runs, the
-# compiled-artifact cache speedup and the DEM build speedup from
-# bench_sim_montecarlo, the persistent-store warm-restart speedup
-# from bench_service_throughput, the per-decoder decode-latency lines
-# from bench_decoder_throughput and the service-burst rates — is written
-# there as one JSON document; CI uploads it as a dated perf-history
-# artifact so regressions can be traced across commits, not just
-# against the static baseline.
+# thread-scaling efficiency, the per-batch and cross-batch
+# (process-global tier) decode-memo hit rates of the engine's
+# 1-thread runs, the compiled-artifact cache speedup and the DEM
+# build speedup from bench_sim_montecarlo, the persistent-store
+# warm-restart speedup from bench_service_throughput, the
+# per-decoder decode-latency lines from bench_decoder_throughput and
+# the service-burst rates — is written there as one JSON document;
+# CI uploads it as a dated perf-history artifact so regressions can
+# be traced across commits, not just against the static baseline.
 #
 # The baseline file holds "<bench-binary> <baseline-seconds>" pairs;
 # baselines are deliberately loose (they bound machine-class, not
@@ -52,7 +51,6 @@ trap 'rm -f "$outfile" "$burst_in"' EXIT
 efficiency=""
 bench_json=""
 latency_json=""
-dispatch_runtime=""
 memo_json=""
 cross_memo_json=""
 compile_cache_json=""
@@ -100,9 +98,6 @@ while read -r name baseline; do
  \"status\": \"$status\"}"
     if [[ "$name" == "bench_sim_montecarlo" ]]; then
         efficiency=$(awk '/^parallel-efficiency@4:/ { print $2 }' \
-            "$outfile")
-        # cpu-dispatch: <level>
-        dispatch_runtime=$(awk '/^cpu-dispatch:/ { print $2; exit }' \
             "$outfile")
         # decode-memo-hit-rate[<fixture>]: <rate>
         memo_json=$(awk -F'[][]' '/^decode-memo-hit-rate\[/ {
@@ -167,16 +162,6 @@ if [[ -n "$efficiency" ]]; then
     fi
 else
     echo "perf-smoke: WARN no parallel-efficiency@4 line from" \
-         "bench_sim_montecarlo"
-fi
-
-# Runtime dispatch level (informational: the binary is the same
-# either way, so a baseline-only CI runner legitimately prints
-# "baseline").
-if [[ -n "$dispatch_runtime" ]]; then
-    echo "perf-smoke: OK   cpu-dispatch = $dispatch_runtime"
-else
-    echo "perf-smoke: WARN no cpu-dispatch line from" \
          "bench_sim_montecarlo"
 fi
 
@@ -296,11 +281,6 @@ if [[ -n "${PERF_HISTORY_JSON:-}" ]]; then
         echo "  \"commit\": \"${GITHUB_SHA:-unknown}\","
         echo "  \"margin\": $MARGIN,"
         echo "  \"parallel_efficiency_at_4\": ${efficiency:-null},"
-        if [[ -n "$dispatch_runtime" ]]; then
-            echo "  \"cpu_dispatch\": \"$dispatch_runtime\","
-        else
-            echo "  \"cpu_dispatch\": null,"
-        fi
         echo "  \"decode_memo_hit_rate\": [$memo_json],"
         echo "  \"cross_batch_memo_hit_rate\": [$cross_memo_json],"
         echo "  \"compile_cache_speedup\": [$compile_cache_json],"

@@ -28,17 +28,6 @@
  * tallies bit-identically — but the two backends consume randomness
  * in different orders, so they agree statistically, not bit-for-bit
  * (and exactly on deterministic circuits).
- *
- * Orthogonal to the backend (how many lanes a plane has) is the
- * *dispatch level* (what vector ISA executes the lane loops).  The
- * frame-sampler kernels are compiled three times — baseline, AVX2,
- * AVX-512 — into one binary, and CpuDispatch picks the level at run
- * time via cpuid.  The lane loops are plain 64-bit XOR/AND/shift
- * code, so every dispatch level produces bit-identical planes on any
- * x86-64 machine; the ISA only changes how the compiler schedules
- * them.  An unrecognized TRAQ_CPU_DISPATCH value, or an explicitly
- * requested level the build or CPU cannot run, throws FatalError —
- * same loudness contract as TRAQ_WORD_BACKEND.
  */
 
 #ifndef TRAQ_COMMON_WORD_HH
@@ -72,42 +61,17 @@ unsigned wordBackendLanes(WordBackend backend);
 /** Short human-readable backend name ("scalar64" / "wide512"). */
 const char *wordBackendName(WordBackend backend);
 
-/**
- * Runtime CPU dispatch level for the multi-versioned sampler /
- * extraction kernels.  Orthogonal to WordBackend: the backend fixes
- * the plane width (shots per batch and RNG consumption order, hence
- * the sampled bits), the dispatch level only fixes which compiled
- * copy of the bit-identical lane loops executes.
- */
+/** Inert: perfbench/mc_workload.cc still names it (ROADMAP item 1). */
 enum class CpuDispatch
 {
-    Auto,     //!< TRAQ_CPU_DISPATCH env var, else best supported
-    Baseline, //!< portable x86-64 codegen
-    Avx2,     //!< 256-bit vector codegen
-    Avx512,   //!< 512-bit vector codegen
+    Auto,
 };
 
-/**
- * True when this build carries a `level` copy of the kernels AND the
- * running CPU can execute it.  Baseline is always supported; Auto is
- * reported supported (it resolves to a supported level).
- */
-bool cpuDispatchSupported(CpuDispatch level);
-
-/**
- * Resolve Auto against the TRAQ_CPU_DISPATCH environment variable
- * ("baseline", "avx2", "avx512"/"avx512f"; unset, empty or "auto"
- * -> the highest cpuDispatchSupported level).  An unknown value
- * throws FatalError listing the known names, and a level that is
- * known but not supported (by this build or this CPU) — whether
- * requested explicitly or via the environment — throws FatalError
- * rather than silently degrading.  Baseline/Avx2/Avx512 arguments
- * pass through the same support check.
- */
-CpuDispatch resolveCpuDispatch(CpuDispatch requested);
-
-/** Short stable level name ("auto"/"baseline"/"avx2"/"avx512"). */
-const char *cpuDispatchName(CpuDispatch level);
+/** Inert: perfbench/mc_workload.cc still names it (ROADMAP item 1). */
+inline CpuDispatch resolveCpuDispatch(CpuDispatch requested)
+{
+    return requested;
+}
 
 } // namespace traq
 

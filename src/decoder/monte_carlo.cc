@@ -13,23 +13,18 @@
 #include "src/decoder/global_memo.hh"
 #include "src/sim/dem.hh"
 #include "src/sim/frame.hh"
-#include "src/sim/frame_kernels.hh"
 
 namespace traq::decoder {
 
 /** Per-thread state: decoder, sampler, and reusable scratch. */
 struct MonteCarloEngine::Worker
 {
-    Worker(unsigned lanes, CpuDispatch dispatch)
-        : fsim(0, lanes, dispatch),
-          kern(&sim::kernels::frameKernels(dispatch)), live(lanes, 0),
-          predicted(64ULL * lanes, 0)
+    explicit Worker(unsigned lanes)
+        : fsim(0, lanes), live(lanes, 0), predicted(64ULL * lanes, 0)
     {}
 
     std::unique_ptr<Decoder> dec;
     sim::FrameSimulator fsim;
-    /** Dispatch-resolved kernel table (extraction entry point). */
-    const sim::kernels::FrameKernels *kern;
     sim::FrameBatch batch;
     /** Per-lane live-shot masks for the current batch. */
     std::vector<std::uint64_t> live;
@@ -108,10 +103,9 @@ MonteCarloEngine::runShard(std::uint64_t shard,
         }
 
         // Straight from lane-major planes to a CSR block via the
-        // dispatch-resolved transpose kernel.  Masked-out tail shots
-        // come out empty, so decoding the first n rows of the block
-        // is exact.
-        w.kern->extractBlock(w.batch, w.live, w.block);
+        // transpose extraction.  Masked-out tail shots come out
+        // empty, so decoding the first n rows of the block is exact.
+        sim::extractSyndromeBlock(w.batch, w.live, w.block);
         tally.weight += w.block.offsets[n];
 
         SyndromeBatch view;
@@ -228,10 +222,9 @@ MonteCarloEngine::run(const McOptions &opts)
     decCfg.predecode = resolvePredecode(opts_.predecode) ? 1 : 0;
     decCfg.predecodeRadius = opts_.predecodeRadius;
     decCfg.reachCache = resolveReachCache(opts_.reachCache) ? 1 : 0;
-    // Same once-per-run resolution for the memo switch and the CPU
-    // dispatch level (one env/cpuid read, every worker agrees).
+    // Same once-per-run resolution for the memo switch (one env
+    // read, every worker agrees).
     memoOn_ = resolveDecodeMemo(opts_.decodeMemo);
-    dispatch_ = resolveCpuDispatch(opts_.cpuDispatch);
     // Tier 1 rides on the per-batch memo's replay bookkeeping, so
     // decodeMemo=off silently disables it too (the memo is the
     // feature; the global tier only widens its key space).
@@ -243,7 +236,7 @@ MonteCarloEngine::run(const McOptions &opts)
 
     auto workerMain = [&]() {
         try {
-            Worker w(lanes_, dispatch_);
+            Worker w(lanes_);
             w.dec = makeDecoder(kind, setup_->graph, decCfg);
             std::uint64_t shard;
             while ((shard = nextShard.fetch_add(1)) < numShards) {
@@ -307,7 +300,6 @@ MonteCarloEngine::run(const McOptions &opts)
     res.crossBatchHits =
         crossBatchHits_.load(std::memory_order_relaxed);
     res.decoder = decoderKindName(kind);
-    res.cpuDispatch = cpuDispatchName(dispatch_);
     res.shards = numShards;
     res.threadsUsed = threads;
     res.wordLanes = lanes_;

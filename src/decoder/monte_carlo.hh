@@ -113,12 +113,7 @@ struct McOptions
      * to TRAQ_COMPILE_CACHE (default ON), 0 off, positive on.
      */
     int compileCache = -1;
-    /**
-     * Runtime CPU dispatch level for the sampler/extraction kernels
-     * (common/word.hh).  Auto defers to TRAQ_CPU_DISPATCH and then
-     * cpuid (best supported level).  All levels are bit-identical;
-     * McResult::cpuDispatch reports the level that actually ran.
-     */
+    /** Inert: perfbench/mc_workload.cc still reads it (ROADMAP item 1). */
     CpuDispatch cpuDispatch = CpuDispatch::Auto;
     /** Worker threads; 0 = TRAQ_THREADS env or hardware (see
      *  common/threads.hh). */
@@ -196,9 +191,6 @@ struct McResult
     std::uint64_t crossBatchHits = 0;
     /** Name of the decoder kind actually run (after TRAQ_DECODER). */
     const char *decoder = "";
-    /** CPU dispatch level the kernels actually ran at (after
-     *  TRAQ_CPU_DISPATCH / cpuid): "baseline", "avx2", "avx512". */
-    const char *cpuDispatch = "";
     std::uint64_t shards = 0;        //!< shards the run was split into
     unsigned threadsUsed = 0;        //!< workers actually spawned
     unsigned wordLanes = 0;          //!< 64-bit lanes per batch used
@@ -250,8 +242,6 @@ class MonteCarloEngine
     DecodeSetupKey setupKey_{};
     /** Tier-1 hits across all workers of the current run. */
     std::atomic<std::uint64_t> crossBatchHits_{0};
-    /** Dispatch level resolved once per run (workers all agree). */
-    CpuDispatch dispatch_ = CpuDispatch::Auto;
 
     /** (Re)compile the noise spec and rebuild DEM + decode graph. */
     void recompile();

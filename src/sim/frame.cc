@@ -3,18 +3,8 @@
 #include <bit>
 
 #include "src/common/assert.hh"
-#include "src/sim/frame_kernels.hh"
 
 namespace traq::sim {
-
-void
-extractSyndromeBlock(const FrameBatch &batch,
-                     std::span<const std::uint64_t> liveMask,
-                     SyndromeBlock &out)
-{
-    kernels::frameKernels(CpuDispatch::Auto)
-        .extractBlock(batch, liveMask, out);
-}
 
 void
 extractSyndromeBlockScalar(const FrameBatch &batch,
@@ -128,9 +118,8 @@ extractSyndromeBlockScalar(const FrameBatch &batch,
 }
 
 FrameSimulator::FrameSimulator(std::uint64_t seed, unsigned lanes,
-                               CpuDispatch dispatch)
-    : st_(seed), lanes_(lanes),
-      kernels_(&kernels::frameKernels(dispatch))
+                               CpuDispatch)
+    : st_(seed), lanes_(lanes)
 {
     TRAQ_REQUIRE(lanes_ >= 1, "frame sim needs at least one lane");
 }
@@ -141,12 +130,6 @@ FrameSimulator::sample(const Circuit &circuit)
     FrameBatch out;
     sampleInto(circuit, out);
     return out;
-}
-
-void
-FrameSimulator::sampleInto(const Circuit &circuit, FrameBatch &out)
-{
-    kernels_->sampleInto(st_, circuit, lanes_, out);
 }
 
 std::vector<std::uint64_t>

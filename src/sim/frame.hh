@@ -20,10 +20,7 @@
  * the same targets are fused into a single Bernoulli plane draw.
  *
  * The hot bodies (per-gate lane loops, transpose extraction) live in
- * frame_kernels_impl.hh, compiled once per CpuDispatch level and
- * selected at run time (see frame_kernels.hh) — the simulator here
- * resolves a level at construction and pays one indirect call per
- * batch.
+ * frame_kernels.cc.
  */
 
 #ifndef TRAQ_SIM_FRAME_HH
@@ -38,11 +35,6 @@
 #include "src/sim/circuit.hh"
 
 namespace traq::sim {
-
-namespace kernels {
-struct FrameKernels;
-struct BlockScratchAccess;
-} // namespace kernels
 
 /**
  * Result of one (lanes * 64)-shot batch.
@@ -129,22 +121,23 @@ struct SyndromeBlock
     }
 
   private:
+    friend void extractSyndromeBlock(const FrameBatch &,
+                                     std::span<const std::uint64_t>,
+                                     SyndromeBlock &);
     friend void extractSyndromeBlockScalar(
         const FrameBatch &, std::span<const std::uint64_t>,
         SyndromeBlock &);
-    friend struct kernels::BlockScratchAccess;
     std::vector<std::uint32_t> cursor_;  //!< fill-pass scratch
     /** Shot-major transposed bit rows (transpose extraction). */
     std::vector<std::uint64_t> rowBits_;
 };
 
 /**
- * Extract a whole batch into a SyndromeBlock.  Routes to the
- * runtime-dispatched transpose kernel (frame_kernels.hh, Auto
- * level): detector and herald planes are turned shot-major by a
- * blocked 64x64 bit-matrix transpose and each shot's row words
- * stream straight into the CSR lists.  Masked-out shots (liveMask
- * bit clear) get empty syndromes and zero masks.  Bit-identical to
+ * Extract a whole batch into a SyndromeBlock (frame_kernels.cc):
+ * detector and herald planes are turned shot-major by a blocked
+ * 64x64 bit-matrix transpose and each shot's row words stream
+ * straight into the CSR lists.  Masked-out shots (liveMask bit
+ * clear) get empty syndromes and zero masks.  Bit-identical to
  * extractSyndromeBlockScalar — locked by tests — with flat reused
  * storage: the decode hot path's allocation-free SoA hand-off.
  */
@@ -153,20 +146,19 @@ void extractSyndromeBlock(const FrameBatch &batch,
                           SyndromeBlock &out);
 
 /**
- * The pre-dispatch scalar extraction: a counting pass and a fill
- * pass walking only the *set* bits of the planes with countr_zero.
- * Kept as the single reference oracle the transpose kernels are
- * locked against (and as the better choice for very sparse planes
- * hit once; the engine always goes through extractSyndromeBlock).
+ * The scalar extraction: a counting pass and a fill pass walking
+ * only the *set* bits of the planes with countr_zero.  Kept as the
+ * single reference oracle the transpose extraction is locked
+ * against (and as the better choice for very sparse planes hit
+ * once; the engine always goes through extractSyndromeBlock).
  */
 void extractSyndromeBlockScalar(const FrameBatch &batch,
                                 std::span<const std::uint64_t> liveMask,
                                 SyndromeBlock &out);
 
 /**
- * The frame simulator's mutable sampling state, grouped so the
- * runtime-dispatched kernel copies (frame_kernels_impl.hh) can run
- * the hot loops over it as free functions.
+ * The frame simulator's mutable sampling state, grouped so the hot
+ * loops in frame_kernels.cc can run over it as free functions.
  */
 struct FrameSimState
 {
@@ -191,14 +183,11 @@ class FrameSimulator
      *              64-shot path; kWide512WordLanes the wide512
      *              backend.
      *              Any positive count works (tests use odd widths).
-     * @param dispatch CPU dispatch level for the kernel copies,
-     *              resolved here once (Auto: TRAQ_CPU_DISPATCH env
-     *              var, else best supported).  Purely a scheduling
-     *              choice — samples are bit-identical across levels.
+     * Third parameter inert: perfbench/mc_workload.cc (ROADMAP item 1).
      */
     explicit FrameSimulator(std::uint64_t seed = 0x66726d65ULL,
                             unsigned lanes = 1,
-                            CpuDispatch dispatch = CpuDispatch::Auto);
+                            CpuDispatch = CpuDispatch::Auto);
 
     unsigned lanes() const { return lanes_; }
     /** Shots per sample()/sampleInto() call (64 * lanes). */
@@ -229,8 +218,6 @@ class FrameSimulator
   private:
     FrameSimState st_;
     unsigned lanes_ = 1;
-    /** Resolved kernel table (one indirect call per batch). */
-    const kernels::FrameKernels *kernels_ = nullptr;
 };
 
 } // namespace traq::sim

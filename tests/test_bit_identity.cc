@@ -1,18 +1,16 @@
 /**
  * @file
- * Runtime CPU dispatch, transpose extraction, decode memoization and
- * MWPM reach-cache invariants.
+ * Transpose extraction, decode memoization and MWPM reach-cache
+ * invariants.
  *
  * The standing contract of every throughput knob in this codebase is
- * bit-identity: dispatch levels, the transpose extractor, the
- * per-batch decode memo and the Dijkstra reach cache may only change
- * *when* work happens, never what comes out.  These tests lock that
- * in — sampler planes across dispatch levels, CSR blocks against the
- * scalar reference extractor, decodeBatchSorted against per-shot
- * decoding for every registered kind on clean and heralded batches,
- * and engine results across memo
- * / cache / dispatch / thread-count settings — plus the loud-failure
- * contract of the TRAQ_CPU_DISPATCH / TRAQ_DECODE_MEMO /
+ * bit-identity: the transpose extractor, the per-batch decode memo
+ * and the Dijkstra reach cache may only change *when* work happens,
+ * never what comes out.  These tests lock that in — CSR blocks
+ * against the scalar reference extractor, decodeBatchSorted against
+ * per-shot decoding for every kind on clean and heralded batches,
+ * and engine results across memo / cache / thread-count settings —
+ * plus the loud-failure contract of the TRAQ_DECODE_MEMO /
  * TRAQ_REACH_CACHE environment variables.
  */
 
@@ -25,13 +23,11 @@
 
 #include "src/codes/experiments.hh"
 #include "src/common/assert.hh"
-#include "src/common/word.hh"
 #include "src/decoder/compile_cache.hh"
 #include "src/decoder/decoder.hh"
 #include "src/decoder/monte_carlo.hh"
 #include "src/noise/noise.hh"
 #include "src/sim/frame.hh"
-#include "src/sim/frame_kernels.hh"
 
 namespace {
 
@@ -62,18 +58,6 @@ class EnvGuard
     bool wasSet_ = true;
 };
 
-/** Dispatch levels supported on this build/CPU (always >= 1). */
-std::vector<CpuDispatch>
-supportedLevels()
-{
-    std::vector<CpuDispatch> levels{CpuDispatch::Baseline};
-    if (cpuDispatchSupported(CpuDispatch::Avx2))
-        levels.push_back(CpuDispatch::Avx2);
-    if (cpuDispatchSupported(CpuDispatch::Avx512))
-        levels.push_back(CpuDispatch::Avx512);
-    return levels;
-}
-
 /** Memory experiment with atom-loss noise (herald-emitting). */
 sim::Circuit
 heraldedMemoryCircuit(int d, double p, double lossP)
@@ -88,7 +72,7 @@ heraldedMemoryCircuit(int d, double p, double lossP)
 
 void
 expectBlocksEqual(const sim::SyndromeBlock &a,
-                  const sim::SyndromeBlock &b, const char *what)
+                  const sim::SyndromeBlock &b, const std::string &what)
 {
     EXPECT_EQ(a.offsets, b.offsets) << what;
     EXPECT_EQ(a.defects, b.defects) << what;
@@ -97,104 +81,12 @@ expectBlocksEqual(const sim::SyndromeBlock &a,
     EXPECT_EQ(a.heraldIds, b.heraldIds) << what;
 }
 
-TEST(CpuDispatch, NamesSupportAndResolution)
-{
-    EnvGuard guard("TRAQ_CPU_DISPATCH");
-    unsetenv("TRAQ_CPU_DISPATCH");
-
-    EXPECT_TRUE(cpuDispatchSupported(CpuDispatch::Baseline));
-    EXPECT_TRUE(cpuDispatchSupported(CpuDispatch::Auto));
-    EXPECT_STREQ(cpuDispatchName(CpuDispatch::Auto), "auto");
-    EXPECT_STREQ(cpuDispatchName(CpuDispatch::Baseline), "baseline");
-    EXPECT_STREQ(cpuDispatchName(CpuDispatch::Avx2), "avx2");
-    EXPECT_STREQ(cpuDispatchName(CpuDispatch::Avx512), "avx512");
-
-    // A concrete supported request resolves to itself; Auto resolves
-    // to a concrete supported level (never Auto back).
-    EXPECT_EQ(resolveCpuDispatch(CpuDispatch::Baseline),
-              CpuDispatch::Baseline);
-    const CpuDispatch best = resolveCpuDispatch(CpuDispatch::Auto);
-    EXPECT_NE(best, CpuDispatch::Auto);
-    EXPECT_TRUE(cpuDispatchSupported(best));
-
-    // An unsupported concrete request refuses loudly instead of
-    // silently degrading.
-    if (!cpuDispatchSupported(CpuDispatch::Avx512))
-        EXPECT_THROW(resolveCpuDispatch(CpuDispatch::Avx512),
-                     FatalError);
-    if (!cpuDispatchSupported(CpuDispatch::Avx2))
-        EXPECT_THROW(resolveCpuDispatch(CpuDispatch::Avx2),
-                     FatalError);
-}
-
-TEST(CpuDispatch, EnvOverridesAutoAndFailsLoudly)
-{
-    EnvGuard guard("TRAQ_CPU_DISPATCH");
-
-    ASSERT_EQ(setenv("TRAQ_CPU_DISPATCH", "baseline", 1), 0);
-    EXPECT_EQ(resolveCpuDispatch(CpuDispatch::Auto),
-              CpuDispatch::Baseline);
-    // ...but never overrides an explicit concrete request.
-    const CpuDispatch best = [] {
-        EnvGuard inner("TRAQ_CPU_DISPATCH");
-        unsetenv("TRAQ_CPU_DISPATCH");
-        return resolveCpuDispatch(CpuDispatch::Auto);
-    }();
-    if (best != CpuDispatch::Baseline)
-        EXPECT_EQ(resolveCpuDispatch(best), best);
-
-    // Empty and "auto" mean best-supported, same as unset.
-    ASSERT_EQ(setenv("TRAQ_CPU_DISPATCH", "", 1), 0);
-    EXPECT_EQ(resolveCpuDispatch(CpuDispatch::Auto), best);
-    ASSERT_EQ(setenv("TRAQ_CPU_DISPATCH", "auto", 1), 0);
-    EXPECT_EQ(resolveCpuDispatch(CpuDispatch::Auto), best);
-
-    // Requesting a level by name either yields it or throws when
-    // this machine cannot run it — never a silent substitute.
-    for (const char *name : {"avx2", "avx512", "avx512f"}) {
-        ASSERT_EQ(setenv("TRAQ_CPU_DISPATCH", name, 1), 0);
-        const CpuDispatch want = name[3] == '2' ? CpuDispatch::Avx2
-                                                : CpuDispatch::Avx512;
-        if (cpuDispatchSupported(want))
-            EXPECT_EQ(resolveCpuDispatch(CpuDispatch::Auto), want);
-        else
-            EXPECT_THROW(resolveCpuDispatch(CpuDispatch::Auto),
-                         FatalError);
-    }
-
-    ASSERT_EQ(setenv("TRAQ_CPU_DISPATCH", "sse9", 1), 0);
-    EXPECT_THROW(resolveCpuDispatch(CpuDispatch::Auto), FatalError);
-}
-
-TEST(CpuDispatch, SamplerPlanesBitIdenticalAcrossLevels)
+TEST(TransposeExtraction, MatchesScalarReference)
 {
     const sim::Circuit circuit =
         heraldedMemoryCircuit(3, 0.01, 0.02);
     for (unsigned lanes : {1u, 3u, 8u}) {
-        sim::FrameSimulator ref(99, lanes, CpuDispatch::Baseline);
-        sim::FrameBatch refBatch;
-        ref.sampleInto(circuit, refBatch);
-        for (CpuDispatch level : supportedLevels()) {
-            sim::FrameSimulator fs(99, lanes, level);
-            sim::FrameBatch batch;
-            fs.sampleInto(circuit, batch);
-            const std::string what =
-                std::string(cpuDispatchName(level)) + " lanes=" +
-                std::to_string(lanes);
-            EXPECT_EQ(batch.detectors, refBatch.detectors) << what;
-            EXPECT_EQ(batch.observables, refBatch.observables)
-                << what;
-            EXPECT_EQ(batch.heralds, refBatch.heralds) << what;
-        }
-    }
-}
-
-TEST(CpuDispatch, TransposeExtractionMatchesScalarReference)
-{
-    const sim::Circuit circuit =
-        heraldedMemoryCircuit(3, 0.01, 0.02);
-    for (unsigned lanes : {1u, 3u, 8u}) {
-        sim::FrameSimulator fs(7, lanes, CpuDispatch::Baseline);
+        sim::FrameSimulator fs(7, lanes);
         sim::FrameBatch batch;
         fs.sampleInto(circuit, batch);
         // Full mask, then a ragged partial mask (dead tail shots,
@@ -204,20 +96,16 @@ TEST(CpuDispatch, TransposeExtractionMatchesScalarReference)
         for (unsigned l = 0; l < lanes; ++l)
             partial[l] = 0x5a5a00ff0f0f33ccULL >> l;
         for (const auto &mask : {full, partial}) {
-            sim::SyndromeBlock ref;
+            sim::SyndromeBlock ref, got;
             sim::extractSyndromeBlockScalar(batch, mask, ref);
-            for (CpuDispatch level : supportedLevels()) {
-                sim::SyndromeBlock got;
-                sim::kernels::frameKernels(level).extractBlock(
-                    batch, mask, got);
-                expectBlocksEqual(got, ref,
-                                  cpuDispatchName(level));
-            }
+            sim::extractSyndromeBlock(batch, mask, got);
+            expectBlocksEqual(got, ref,
+                              "lanes=" + std::to_string(lanes));
         }
     }
 }
 
-TEST(CpuDispatch, TransposeHandlesZeroPlanesAndHandMadeBits)
+TEST(TransposeExtraction, HandlesZeroPlanesAndHandMadeBits)
 {
     // Hand-built batch: 2 lanes, 70 detector planes (tests the
     // all-zero tile fast path and the 64-crossing plane ids), 2
@@ -256,12 +144,9 @@ TEST(CpuDispatch, TransposeHandlesZeroPlanesAndHandMadeBits)
     EXPECT_EQ(ref.heralds(90)[0], 0u);
     EXPECT_EQ(ref.observables[1], 2u);
 
-    for (CpuDispatch level : supportedLevels()) {
-        sim::SyndromeBlock got;
-        sim::kernels::frameKernels(level).extractBlock(batch, mask,
-                                                       got);
-        expectBlocksEqual(got, ref, cpuDispatchName(level));
-    }
+    sim::SyndromeBlock got;
+    sim::extractSyndromeBlock(batch, mask, got);
+    expectBlocksEqual(got, ref, "hand-made batch");
 }
 
 TEST(DecodeMemoEnv, TriStateAndLoudness)
@@ -321,7 +206,7 @@ struct SampledBatch
         setup = decoder::compileDecodeSetup(*exp, spec, false);
         const sim::Circuit &circuit =
             setup->compiled ? *setup->compiled : exp->circuit;
-        sim::FrameSimulator fs(21, 8, CpuDispatch::Baseline);
+        sim::FrameSimulator fs(21, 8);
         sim::FrameBatch batch;
         sim::SyndromeBlock block;
         const std::vector<std::uint64_t> live(8, ~0ULL);
@@ -494,7 +379,6 @@ TEST(Engine, MemoThreadAndDispatchInvarianceBatchPath)
     const auto base = engine.run(opts);
     const EngineSignature want(base);
     EXPECT_GT(base.memoHits, 0u);
-    EXPECT_STRNE(base.cpuDispatch, "");
 
     for (int memo : {0, 1}) {
         for (unsigned threads : {1u, 2u, 4u}) {
@@ -509,15 +393,10 @@ TEST(Engine, MemoThreadAndDispatchInvarianceBatchPath)
         }
     }
 
-    // Reach cache off and baseline dispatch: same answers again.
+    // Reach cache off: same answers again.
     auto o = opts;
     o.reachCache = 0;
     EXPECT_EQ(EngineSignature(engine.run(o)), want);
-    o = opts;
-    o.cpuDispatch = CpuDispatch::Baseline;
-    const auto resBase = engine.run(o);
-    EXPECT_EQ(EngineSignature(resBase), want);
-    EXPECT_STREQ(resBase.cpuDispatch, "baseline");
 }
 
 TEST(Engine, MemoInvarianceErasurePath)

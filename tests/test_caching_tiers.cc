@@ -19,7 +19,7 @@
  *    bytes from the persistent tier alone, and rejections caused by
  *    the environment never reaching the store.
  *
- * Same contract as tests/test_cpu_dispatch.cc: throughput knobs may
+ * Same contract as tests/test_bit_identity.cc: throughput knobs may
  * change *when* work happens, never what comes out.
  */
 
@@ -229,7 +229,7 @@ struct Sampled
         codes::SurfaceCode sc(3);
         exp = std::make_unique<codes::Experiment>(codes::buildMemory(
             sc, 'Z', 3, codes::NoiseParams::uniform(0.004)));
-        sim::FrameSimulator fs(21, 8, CpuDispatch::Baseline);
+        sim::FrameSimulator fs(21, 8);
         sim::FrameBatch batch;
         sim::SyndromeBlock block;
         const std::vector<std::uint64_t> live(8, ~0ULL);

@@ -607,7 +607,7 @@ TEST(Mwpm, CnotLossCorrectionDigestPinned)
         ASSERT_GT(g.numHeraldChannels(), 0u);
 
         // One-lane (scalar64) sampler: the stream the noise goldens
-        // rely on across word backends and dispatch levels.
+        // rely on across word backends.
         sim::FrameSimulator fs(0x5eed0000u + pin.d, 1);
         sim::FrameBatch batch;
         sim::SyndromeBlock block;

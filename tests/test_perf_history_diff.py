@@ -9,8 +9,10 @@ the report contract:
   - per-decoder decode-latency deltas,
   - the caching-tier metrics (per-batch and cross-batch memo hit
     rates, compile-cache and warm-restart speedups),
-  - keys only older records carry are neither rendered nor listed
-    as unknown,
+  - keys only older records carry (the retired CPU dispatch level
+    among them) are neither rendered nor listed as unknown,
+  - a scalar key only one record carries prints as added/removed,
+    never as Python's None,
   - the same-run DEM build speedup per fixture, including a fixture
     only the newer record has,
   - the service-burst rates per serving mode, including a worker
@@ -24,6 +26,7 @@ Wired into ctest by CMakeLists.txt when a Python3 interpreter is
 found; also runnable directly:  python3 tests/test_perf_history_diff.py
 """
 
+import json
 import subprocess
 import sys
 import tempfile
@@ -113,9 +116,31 @@ class PerfHistoryDiffTest(unittest.TestCase):
         self.assertRegex(out, r"dispatch-w4\s+added")
         self.assertNotIn("service_burst_req_per_s", out)
 
-    def test_dispatch_change_flagged(self):
+    def test_retired_dispatch_key_stays_quiet(self):
         out = self.diff_output()
-        self.assertIn("cpu-dispatch: avx2 -> avx512  <- CHANGED", out)
+        # Only the older record has it: no line, no unknown key.
+        self.assertNotIn("cpu_dispatch", out)
+        self.assertNotIn("cpu-dispatch", out)
+
+    def test_scalar_key_on_one_side(self):
+        out = self.diff_output()
+        # Only the newer record has the stream keys.
+        self.assertIn("stream-throughput (req/s): added", out)
+        self.assertIn("stream-first-result (ms): added", out)
+        self.assertIn("parallel-efficiency@4: 0.91 -> 0.87", out)
+        self.assertNotIn("None", out)
+
+    def test_scalar_key_removed(self):
+        base = json.loads((FIXTURES / "base.json").read_text())
+        head = json.loads((FIXTURES / "head.json").read_text())
+        del head["parallel_efficiency_at_4"]
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, doc in (("base.json", base), ("head.json", head)):
+                (Path(tmp) / name).write_text(json.dumps(doc))
+            code, out, err = run_tool(tmp)
+        self.assertEqual(code, 0, err)
+        self.assertIn("parallel-efficiency@4: removed", out)
+        self.assertNotIn("None", out)
 
     def test_unknown_top_level_key_listed(self):
         out = self.diff_output()

@@ -287,6 +287,13 @@ struct BlockGate
         cv.notify_all();
     }
 
+    /** Re-arm the gate, so a repeated run blocks again. */
+    void close()
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        open = false;
+    }
+
     void wait()
     {
         std::unique_lock<std::mutex> lock(mu);
@@ -334,6 +341,7 @@ registerBlockingEstimator()
 TEST(Scheduler, BoundedReadyQueueBlocksSubmitWithoutDeadlock)
 {
     registerBlockingEstimator();
+    blockGate().close();
     service::JobQueueOptions opts;
     opts.threads = 1;
     opts.readyCapacity = 2;
